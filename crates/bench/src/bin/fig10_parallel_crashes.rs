@@ -9,7 +9,7 @@
 use bigmap_analytics::TextTable;
 use bigmap_bench::{report_header, Effort, PreparedBenchmark};
 use bigmap_core::{MapScheme, MapSize};
-use bigmap_fuzzer::{run_parallel, Budget, CampaignConfig};
+use bigmap_fuzzer::{run_supervised, Budget, CampaignConfig, SupervisorConfig};
 use bigmap_target::BenchmarkSpec;
 
 fn main() {
@@ -62,13 +62,15 @@ fn main() {
                     .budget(Budget::Time(effort.crash_arm_budget()))
                     .deterministic(true)
                     .build();
-                let stats = run_parallel(
+                let stats = run_supervised(
                     &prepared.program,
                     &prepared.instrumentation,
                     &config,
                     &prepared.seeds,
                     instances,
                     5_000,
+                    &SupervisorConfig::default(),
+                    None,
                 );
                 totals[i][scheme_idx] += stats.unique_crashes;
                 row.push(stats.unique_crashes.to_string());

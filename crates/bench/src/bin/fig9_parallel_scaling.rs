@@ -14,8 +14,8 @@ use bigmap_bench::{
 };
 use bigmap_core::{MapScheme, MapSize};
 use bigmap_fuzzer::{
-    parse_jsonl, run_parallel_with_telemetry, run_supervised, Budget, CampaignConfig, JsonlSink,
-    SupervisorConfig, TelemetryEvent, TelemetryRegistry,
+    parse_jsonl, run_supervised, Budget, CampaignConfig, JsonlSink, SupervisorConfig,
+    TelemetryEvent, TelemetryRegistry,
 };
 use bigmap_target::BenchmarkSpec;
 
@@ -35,10 +35,11 @@ fn main() {
         TelemetryRegistry::with_sink(sink)
     });
 
-    // `--checkpoint <dir>` switches every fleet to the supervised runtime:
+    // `--checkpoint <dir>` switches every fleet to the resilient policy:
     // per-instance checkpoints under a per-arm subdirectory, crashed
     // workers restarted from their last snapshot, and `--resume` picks a
-    // killed run back up from disk.
+    // killed run back up from disk. Without it, fleets only contain
+    // panics.
     let checkpoint = CheckpointArgs::from_args();
     if let Some(args) = &checkpoint {
         eprintln!(
@@ -87,7 +88,7 @@ fn main() {
                     .deterministic(true) // master runs deterministic stages
                     .build();
                 let before = registry.as_ref().map(|r| r.fleet_totals());
-                let stats = match &checkpoint {
+                let supervisor = match &checkpoint {
                     Some(args) => {
                         let arm_key = format!(
                             "fig9-{}-{}-n{instances}",
@@ -98,32 +99,24 @@ fn main() {
                                 "afl"
                             }
                         );
-                        let supervisor = SupervisorConfig {
+                        SupervisorConfig {
                             checkpoint_every: args.every,
                             checkpoint_root: Some(args.prepare_arm(&arm_key)),
                             ..SupervisorConfig::resilient()
-                        };
-                        run_supervised(
-                            &prepared.program,
-                            &prepared.instrumentation,
-                            &config,
-                            &prepared.seeds,
-                            instances,
-                            5_000,
-                            &supervisor,
-                            registry.as_ref(),
-                        )
+                        }
                     }
-                    None => run_parallel_with_telemetry(
-                        &prepared.program,
-                        &prepared.instrumentation,
-                        &config,
-                        &prepared.seeds,
-                        instances,
-                        5_000,
-                        registry.as_ref(),
-                    ),
+                    None => SupervisorConfig::default(),
                 };
+                let stats = run_supervised(
+                    &prepared.program,
+                    &prepared.instrumentation,
+                    &config,
+                    &prepared.seeds,
+                    instances,
+                    5_000,
+                    &supervisor,
+                    registry.as_ref(),
+                );
                 if !stats.all_completed() {
                     eprintln!(
                         "  warning: {} / {scheme:?} @{instances}: fleet health {:?}",

@@ -196,6 +196,18 @@ impl CampaignConfig {
     pub fn builder() -> CampaignConfigBuilder {
         CampaignConfigBuilder::default()
     }
+
+    /// The configuration of fleet instance `index` in the paper's
+    /// master–secondary setup: the campaign seed is decorrelated by the
+    /// index, and only the master (instance 0) keeps the deterministic
+    /// stages. Thread fleets and process-fabric workers both derive their
+    /// per-instance configuration here.
+    pub fn for_instance(&self, index: usize) -> CampaignConfig {
+        let mut config = self.clone();
+        config.seed = self.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index as u64 + 1);
+        config.deterministic = index == 0 && self.deterministic;
+        config
+    }
 }
 
 /// Chainable builder for [`CampaignConfig`]; see
@@ -1335,8 +1347,8 @@ impl<'p> Campaign<'p> {
     }
 
     /// Resumes from the newest intact checkpoint generation persisted in
-    /// `dir` (an output directory a
-    /// [`crate::checkpoint::CheckpointManager`] wrote into). Returns
+    /// `dir` (the directory a [`crate::checkpoint::CheckpointManager`]
+    /// wrote into). Returns
     /// whether a checkpoint was found; `false` means the campaign is
     /// untouched and the caller should seed it normally. Each corrupt
     /// newer generation skipped on the way to an intact one is counted
@@ -1350,10 +1362,9 @@ impl<'p> Campaign<'p> {
     /// # Panics
     ///
     /// Panics if seeds were already added (see [`Campaign::restore`]).
-    pub fn resume_from(&mut self, dir: &crate::output_dir::OutputDir) -> std::io::Result<bool> {
+    pub fn resume_from(&mut self, dir: &std::path::Path) -> std::io::Result<bool> {
         let faults = self.faults.clone();
-        match crate::checkpoint::CheckpointManager::load_with_report(dir.root(), faults.as_deref())?
-        {
+        match crate::checkpoint::CheckpointManager::load_with_report(dir, faults.as_deref())? {
             Some((checkpoint, report)) => {
                 if !report.skipped.is_empty() {
                     if let Some(tel) = &self.telemetry {

@@ -6,9 +6,14 @@
 //! spawns N child processes, each of which recognizes the
 //! `BIGMAP_FABRIC_WORKER` handshake and calls [`run_worker`] to fuzz one
 //! campaign instance, speaking the fabric protocol over its own
-//! stdin/stdout. The parent holds the authoritative corpus store (a
-//! [`ShardedHub`] behind the [`CorpusSync`] trait) and one service thread
-//! per worker that translates protocol frames into hub calls.
+//! stdin/stdout. The parent holds the authoritative corpus store (the
+//! same [`SyncHub`] the thread fleet shares) and one service thread per
+//! worker that translates protocol frames into hub calls. Per-instance
+//! start-up and supervision are shared with the thread fleet too: workers
+//! derive their configuration with [`CampaignConfig::for_instance`] and
+//! resume through [`Campaign::resume_from`], and service threads run the
+//! same bounded restart loop. Frame serving and liveness stay here; they
+//! only exist at a process boundary.
 //!
 //! ## Protocol
 //!
@@ -37,14 +42,15 @@
 //!
 //! ## Fault tolerance
 //!
-//! A worker that exits abnormally (panic, kill, protocol corruption) is
-//! restarted by its service thread with the PR-3 supervision policy:
-//! bounded restarts with linear backoff, health reported as
-//! `Running`/`Restarted(n)`/`Dead`. A restarted worker resumes from its
-//! on-disk checkpoint (when [`WorkerOptions::checkpoint_dir`] is set),
-//! restarts its sync cursor at zero, and republishes what it knows — the
-//! hub's content-idempotent publish makes the replay harmless, exactly
-//! as for thread-level supervised restarts.
+//! A worker that exits abnormally (panic, kill, protocol corruption) or
+//! cannot be spawned at all is restarted by its service thread with the
+//! thread fleet's supervision policy: bounded restarts with linear
+//! backoff, health reported as `Running`/`Restarted(n)`/`Dead`. A
+//! restarted worker resumes from its on-disk checkpoint (when
+//! [`WorkerOptions::checkpoint_dir`] is set), restarts its sync cursor at
+//! zero, and republishes what it knows — the hub's content-idempotent
+//! publish makes the replay harmless, exactly as for thread-level
+//! supervised restarts.
 //!
 //! A worker that receives [`FRAME_CURSOR_FAULT`] (its cursor ran past
 //! the published corpus — only possible through state corruption) resets
@@ -67,7 +73,6 @@
 //! comes from [`FleetConfig::liveness_deadline`] (default
 //! `BIGMAP_LIVENESS_DEADLINE_MS`); a zero duration disables enforcement.
 
-use std::collections::HashSet;
 use std::io;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -78,7 +83,7 @@ use std::time::{Duration, Instant};
 
 use bigmap_core::wire::{
     decode_sync_batch, encode_sync_batch, get_varint, put_varint, read_frame, write_frame,
-    SyncBatch, WireError,
+    WireError,
 };
 use bigmap_coverage::Instrumentation;
 use bigmap_target::{Interpreter, Program};
@@ -86,8 +91,7 @@ use bigmap_target::{Interpreter, Program};
 use crate::campaign::{Campaign, CampaignConfig, CampaignStats};
 use crate::checkpoint::CheckpointManager;
 use crate::faults::{FaultSite, InstanceFaults};
-use crate::parallel::{InstanceHealth, ParallelStats};
-use crate::sync::ShardedHub;
+use crate::parallel::{resume_or_seed, supervise, ParallelStats, SyncHub};
 use crate::telemetry::{FleetAggregator, JsonlSink, Telemetry, TelemetryEvent, TelemetrySnapshot};
 
 /// Worker → parent: a batch of fresh finds.
@@ -150,9 +154,10 @@ fn send(kind: u8, payload: &[u8]) -> io::Result<()> {
 
 /// Runs one fleet worker over this process's stdin/stdout.
 ///
-/// Applies the same per-instance decorrelation as the thread fleet (seed
-/// XOR by index, deterministic stages on worker 0 only), resumes from
-/// the checkpoint directory when one is configured, and speaks the
+/// Runs [`CampaignConfig::for_instance`] of `base_config` for this
+/// worker's index, starts like a thread-fleet instance (resumes from the
+/// checkpoint directory when one is configured, reporting skipped corrupt
+/// generations as `CheckpointFallback`, else seeds), and speaks the
 /// fabric protocol at every sync boundary. Returns the campaign stats it
 /// also reported over the pipe.
 ///
@@ -173,9 +178,7 @@ pub fn run_worker(
     seeds: &[Vec<u8>],
     options: &WorkerOptions,
 ) -> io::Result<CampaignStats> {
-    let mut config = base_config.clone();
-    config.seed = base_config.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(role.index as u64 + 1));
-    config.deterministic = role.index == 0 && base_config.deterministic;
+    let config = base_config.for_instance(role.index);
 
     // Place this worker before any map is allocated so first-touch lands
     // the coverage pages on the node the campaign thread runs on. The
@@ -195,23 +198,7 @@ pub fn run_worker(
         .checkpoint_dir
         .as_ref()
         .map(|dir| CheckpointManager::new(dir, options.sync_every.max(1)));
-    let restored = match &options.checkpoint_dir {
-        Some(dir) => match CheckpointManager::load(dir) {
-            Ok(Some(checkpoint)) => {
-                campaign.restore(&checkpoint);
-                true
-            }
-            // Absent or corrupt checkpoints are a cold start, not a
-            // death loop.
-            _ => false,
-        },
-        None => false,
-    };
-    if !restored {
-        campaign.add_seeds(seeds.to_vec());
-        // The seed corpus is common knowledge across the fleet.
-        let _ = campaign.take_fresh_finds();
-    }
+    resume_or_seed(&mut campaign, options.checkpoint_dir.as_deref(), seeds);
 
     let mut cursor = 0u64;
     let batch_limit = bigmap_core::env::sync_batch();
@@ -356,17 +343,11 @@ pub struct FleetStats {
     pub heartbeat_misses: u64,
 }
 
-/// One worker attempt's outcome, as seen by its service thread.
-enum AttemptOutcome {
-    /// STATS + DONE arrived; the worker completed its budget.
-    Done(Box<CampaignStats>),
-    /// The pipe broke or the protocol was violated before DONE.
-    Abnormal(String),
-}
-
 /// Serves one worker attempt: translates its frames against the hub and
 /// aggregator until DONE, the pipe dies, or the liveness deadline
-/// expires without progress.
+/// expires without progress. `Ok` carries the stats of a worker that
+/// sent STATS + DONE; `Err` says why the pipe broke or the protocol was
+/// violated before DONE.
 ///
 /// A dedicated reader thread owns the blocking stdout pipe and forwards
 /// frames over a channel, so the service loop can wait with a timeout.
@@ -375,11 +356,11 @@ enum AttemptOutcome {
 fn serve_attempt(
     child: &mut Child,
     index: usize,
-    hub: &ShardedHub,
+    hub: &SyncHub,
     aggregator: &FleetAggregator,
     deadline: Duration,
     misses: &AtomicU64,
-) -> AttemptOutcome {
+) -> Result<CampaignStats, String> {
     let mut stdout = child.stdout.take().expect("worker stdout piped");
     let mut stdin = child.stdin.take().expect("worker stdin piped");
 
@@ -402,7 +383,7 @@ fn serve_attempt(
             // exiting, so the channel cannot hang up silently).
             match frames.recv() {
                 Ok(frame) => frame,
-                Err(_) => return AttemptOutcome::Abnormal("frame reader vanished".to_string()),
+                Err(_) => return Err("frame reader vanished".to_string()),
             }
         } else {
             let remaining = deadline.saturating_sub(last_progress.elapsed());
@@ -417,12 +398,10 @@ fn serve_attempt(
                     supervisor.incr(TelemetryEvent::HeartbeatMiss);
                     aggregator.record(index, supervisor.snapshot());
                     let _ = child.kill();
-                    return AttemptOutcome::Abnormal(format!(
-                        "no progress within {deadline:?}; worker killed"
-                    ));
+                    return Err(format!("no progress within {deadline:?}; worker killed"));
                 }
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return AttemptOutcome::Abnormal("frame reader vanished".to_string())
+                    return Err("frame reader vanished".to_string())
                 }
             }
         };
@@ -444,12 +423,12 @@ fn serve_attempt(
                     let inputs = batch.entries.into_iter().map(|(_, input)| input).collect();
                     hub.publish(index, inputs);
                 }
-                Err(e) => return AttemptOutcome::Abnormal(format!("publish payload: {e}")),
+                Err(e) => return Err(format!("publish payload: {e}")),
             },
             Ok((FRAME_FETCH, payload)) => {
                 let mut cursor = match get_varint(&payload) {
                     Ok((cursor, _)) => cursor,
-                    Err(e) => return AttemptOutcome::Abnormal(format!("fetch payload: {e}")),
+                    Err(e) => return Err(format!("fetch payload: {e}")),
                 };
                 let reply = match hub.fetch_since(&mut cursor, index) {
                     Ok(entries) => {
@@ -465,7 +444,7 @@ fn serve_attempt(
                     }
                 };
                 if let Err(e) = write_frame(&mut stdin, reply.0, &reply.1) {
-                    return AttemptOutcome::Abnormal(format!("fetch reply: {e}"));
+                    return Err(format!("fetch reply: {e}"));
                 }
             }
             Ok((FRAME_TELEMETRY, payload)) => {
@@ -478,24 +457,20 @@ fn serve_attempt(
             }
             Ok((FRAME_STATS, payload)) => match decode_stats(&payload) {
                 Ok(decoded) => stats = Some(decoded),
-                Err(e) => return AttemptOutcome::Abnormal(format!("stats payload: {e}")),
+                Err(e) => return Err(format!("stats payload: {e}")),
             },
             Ok((FRAME_DONE, _)) => match stats.take() {
                 Some(stats) => {
                     if let Some(tel) = &stats.telemetry {
                         aggregator.record(index, tel.clone());
                     }
-                    return AttemptOutcome::Done(Box::new(stats));
+                    return Ok(stats);
                 }
-                None => return AttemptOutcome::Abnormal("done before stats".to_string()),
+                None => return Err("done before stats".to_string()),
             },
-            Ok((kind, _)) => {
-                return AttemptOutcome::Abnormal(format!("unexpected frame kind {kind}"))
-            }
-            Err(WireError::Eof) => {
-                return AttemptOutcome::Abnormal("worker closed its pipe before done".to_string())
-            }
-            Err(e) => return AttemptOutcome::Abnormal(format!("worker stream: {e}")),
+            Ok((kind, _)) => return Err(format!("unexpected frame kind {kind}")),
+            Err(WireError::Eof) => return Err("worker closed its pipe before done".to_string()),
+            Err(e) => return Err(format!("worker stream: {e}")),
         }
     }
 }
@@ -506,16 +481,14 @@ fn serve_attempt(
 /// current executable with the arguments it needs to reconstruct the
 /// same program/config; [`run_fleet`] adds the `BIGMAP_FABRIC_WORKER`
 /// handshake and wires the pipes. Each worker is served by its own
-/// thread against one shared [`ShardedHub`] and [`FleetAggregator`];
-/// abnormal exits are restarted with linear backoff up to
-/// `max_restarts`, after which the worker is reported
-/// [`InstanceHealth::Dead`].
+/// thread against one shared [`SyncHub`] and [`FleetAggregator`];
+/// abnormal exits and failed spawns are restarted with linear backoff up
+/// to `max_restarts`, after which the worker is reported
+/// [`InstanceHealth::Dead`](crate::InstanceHealth::Dead).
 ///
 /// # Errors
 ///
-/// Returns an error if the fleet JSONL sink cannot be created or a
-/// worker process cannot be spawned at all (spawn failures on *restart*
-/// count against the restart budget instead).
+/// Returns an error only if the fleet JSONL sink cannot be created.
 ///
 /// # Panics
 ///
@@ -525,7 +498,7 @@ pub fn run_fleet(
     command: impl Fn(usize) -> Command + Sync,
 ) -> io::Result<FleetStats> {
     assert!(config.workers > 0, "need at least one worker");
-    let hub = ShardedHub::new();
+    let hub = SyncHub::new();
     let aggregator = match &config.fleet_jsonl {
         Some(path) => FleetAggregator::with_sink(JsonlSink::to_file(path)?),
         None => FleetAggregator::new(),
@@ -554,68 +527,23 @@ pub fn run_fleet(
         cmd.spawn()
     };
 
-    let results: Vec<(CampaignStats, InstanceHealth)> = thread::scope(|scope| {
+    let results = thread::scope(|scope| {
         let handles: Vec<_> = (0..config.workers)
             .map(|index| {
-                let hub = &hub;
-                let aggregator = &aggregator;
-                let spawn = &spawn;
-                let misses = &misses;
+                let (hub, aggregator, spawn, misses) = (&hub, &aggregator, &spawn, &misses);
                 scope.spawn(move || {
-                    let mut restarts = 0u32;
-                    loop {
-                        let mut child = match spawn(index) {
-                            Ok(child) => child,
-                            Err(e) => {
-                                if restarts >= 1 {
-                                    // A spawn that worked once and now fails
-                                    // burns restart budget like any abnormal
-                                    // exit.
-                                    return (
-                                        CampaignStats::default(),
-                                        InstanceHealth::Dead(format!("respawn failed: {e}")),
-                                    );
-                                }
-                                return (
-                                    CampaignStats::default(),
-                                    InstanceHealth::Dead(format!("spawn failed: {e}")),
-                                );
-                            }
-                        };
+                    supervise(config.max_restarts, config.backoff, || {
+                        let mut child = spawn(index).map_err(|e| format!("spawn failed: {e}"))?;
                         let outcome =
                             serve_attempt(&mut child, index, hub, aggregator, deadline, misses);
-                        let status = child.wait();
-                        match (outcome, status) {
-                            (AttemptOutcome::Done(stats), Ok(status)) if status.success() => {
-                                let health = if restarts == 0 {
-                                    InstanceHealth::Running
-                                } else {
-                                    InstanceHealth::Restarted(restarts)
-                                };
-                                return (*stats, health);
-                            }
-                            (AttemptOutcome::Done(_), status) => {
-                                // Completed the protocol but exited dirty:
-                                // treat as abnormal, the stats are suspect.
-                                restarts += 1;
-                                if restarts > config.max_restarts {
-                                    return (
-                                        CampaignStats::default(),
-                                        InstanceHealth::Dead(format!(
-                                            "dirty exit after done: {status:?}"
-                                        )),
-                                    );
-                                }
-                            }
-                            (AttemptOutcome::Abnormal(msg), _) => {
-                                restarts += 1;
-                                if restarts > config.max_restarts {
-                                    return (CampaignStats::default(), InstanceHealth::Dead(msg));
-                                }
-                            }
+                        match (outcome, child.wait()) {
+                            (Ok(stats), Ok(status)) if status.success() => Ok(stats),
+                            // Completed the protocol but exited dirty: the
+                            // stats are suspect.
+                            (Ok(_), status) => Err(format!("dirty exit after done: {status:?}")),
+                            (Err(msg), _) => Err(msg),
                         }
-                        thread::sleep(config.backoff * restarts);
-                    }
+                    })
                 })
             })
             .collect();
@@ -625,21 +553,10 @@ pub fn run_fleet(
             .collect()
     });
 
-    let (instances, health): (Vec<CampaignStats>, Vec<InstanceHealth>) =
-        results.into_iter().unzip();
-    let unique_crashes = instances
-        .iter()
-        .flat_map(|s| s.crash_buckets.iter().copied())
-        .collect::<HashSet<u32>>()
-        .len();
     let nodes = aggregator.nodes().len();
     let telemetry = aggregator.finish();
     Ok(FleetStats {
-        stats: ParallelStats {
-            instances,
-            health,
-            unique_crashes,
-        },
+        stats: ParallelStats::from_results(results),
         telemetry,
         nodes,
         heartbeat_misses: misses.load(Ordering::Relaxed),
@@ -714,10 +631,6 @@ pub fn decode_stats(payload: &[u8]) -> Result<CampaignStats, WireError> {
     Ok(stats)
 }
 
-/// Re-exported for the sync-batch shape the protocol shares with
-/// `bigmap_core::wire`.
-pub type FabricBatch = SyncBatch;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -779,18 +692,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_role_parses_the_handshake_shape() {
-        // The env accessor itself is covered in bigmap_core::env; here we
-        // only pin the mapping into WorkerRole.
-        let role = WorkerRole {
-            index: 2,
-            workers: 4,
-        };
-        assert_eq!(role.index, 2);
-        assert_eq!(role.workers, 4);
-    }
-
-    #[test]
     fn frame_kinds_are_distinct() {
         let kinds = [
             FRAME_PUBLISH,
@@ -802,7 +703,7 @@ mod tests {
             FRAME_DONE,
             FRAME_HEARTBEAT,
         ];
-        let unique: HashSet<u8> = kinds.iter().copied().collect();
+        let unique: std::collections::HashSet<u8> = kinds.iter().copied().collect();
         assert_eq!(unique.len(), kinds.len());
     }
 }

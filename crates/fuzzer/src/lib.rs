@@ -12,12 +12,13 @@
 //! per-stage wall-time attribution, snapshotted at sync boundaries into a
 //! JSONL sink.
 //!
-//! Corpus exchange is abstracted behind the [`sync::CorpusSync`] trait:
-//! the in-process [`SyncHub`], the lock-striped [`ShardedHub`], and — via
-//! the [`fabric`] module — a process-boundary transport speaking the
-//! `bigmap_core::wire` binary protocol, with supervised child-process
-//! workers and fleet-hierarchical telemetry aggregation
-//! ([`telemetry::FleetAggregator`]).
+//! One corpus hub, [`SyncHub`], serves both fleet shapes: the thread
+//! fleet ([`run_supervised`]) shares it in memory, and the process fabric
+//! ([`run_fleet`]) holds it in the parent and serves child-process
+//! workers over the `bigmap_core::wire` binary protocol, with
+//! fleet-hierarchical telemetry aggregation
+//! ([`telemetry::FleetAggregator`]). Both supervise their instances with
+//! the same bounded restart loop.
 //!
 //! The campaign is parametric over the three axes of the paper's
 //! evaluation: map scheme (AFL flat vs BigMap two-level), map size, and
@@ -62,7 +63,6 @@ pub mod output_dir;
 pub mod parallel;
 pub mod queue;
 pub mod replay;
-pub mod supervisor;
 pub mod sync;
 pub mod telemetry;
 pub mod timeline;
@@ -81,14 +81,10 @@ pub use fabric::{run_fleet, run_worker, FleetConfig, FleetStats, WorkerOptions, 
 pub use faults::{FaultPlan, FaultSite, InstanceFaults};
 pub use mutate::Mutator;
 pub use output_dir::OutputDir;
-pub use parallel::{
-    run_parallel, run_parallel_with_faults, run_parallel_with_telemetry, InstanceHealth,
-    ParallelStats, SyncHub,
-};
+pub use parallel::{run_supervised, InstanceHealth, ParallelStats, SupervisorConfig, SyncHub};
 pub use queue::{Queue, QueueEntry};
 pub use replay::{replay_edge_coverage, ReplayCoverage};
-pub use supervisor::{run_supervised, SupervisorConfig};
-pub use sync::{CorpusSync, CursorError, ShardedHub};
+pub use sync::CursorError;
 pub use telemetry::{
     parse_jsonl, FleetAggregator, JsonlSink, SharedBuffer, Stage, Telemetry, TelemetryEvent,
     TelemetryRegistry, TelemetrySnapshot,

@@ -43,13 +43,15 @@ fn main() {
                 .budget_time(Duration::from_secs(2))
                 .deterministic(true) // the master runs deterministic stages
                 .build();
-            let stats = run_parallel(
+            let stats = run_supervised(
                 &program,
                 &instrumentation,
                 &config,
                 &seeds,
                 instances,
                 5_000,
+                &SupervisorConfig::default(),
+                None,
             );
             let total = stats.total_execs() as f64;
             if instances == 1 {

@@ -27,10 +27,9 @@
 //!   fault-tolerant runtime: campaign checkpoint/resume, the supervised
 //!   fleet with bounded restarts, the deterministic fault-injection
 //!   layer that tests both, and the distributed campaign fabric —
-//!   process-level workers behind the
-//!   [`CorpusSync`](bigmap_fuzzer::CorpusSync) trait, speaking the
-//!   `bigmap_core::wire` binary protocol, with fleet-hierarchical
-//!   telemetry aggregation,
+//!   process-level workers sharing the thread fleet's
+//!   [`SyncHub`](bigmap_fuzzer::SyncHub) over the `bigmap_core::wire`
+//!   binary protocol, with fleet-hierarchical telemetry aggregation,
 //! * [`bigmap_cache`] (as `cache`) — the cache-hierarchy simulator behind the
 //!   Table I analysis,
 //! * [`bigmap_analytics`] (as `analytics`) — collision-rate math (Equation 1)
@@ -83,11 +82,10 @@ pub mod prelude {
         CoverageMetric, EdgeHitCount, Instrumentation, MetricKind, MetricStack, NGram, TraceEvent,
     };
     pub use bigmap_fuzzer::{
-        replay_edge_coverage, run_fleet, run_parallel, run_parallel_with_faults,
-        run_parallel_with_telemetry, run_supervised, run_worker, Budget, Campaign, CampaignConfig,
-        CampaignConfigBuilder, CampaignStats, Checkpoint, CheckpointManager, CorpusSync, CrashWalk,
-        CursorError, Executor, FaultPlan, FaultSite, FleetAggregator, FleetConfig, FleetStats,
-        HangBudget, InstanceFaults, InstanceHealth, JsonlSink, Mutator, ParallelStats, ShardedHub,
+        replay_edge_coverage, run_fleet, run_supervised, run_worker, Budget, Campaign,
+        CampaignConfig, CampaignConfigBuilder, CampaignStats, Checkpoint, CheckpointManager,
+        CrashWalk, CursorError, Executor, FaultPlan, FaultSite, FleetAggregator, FleetConfig,
+        FleetStats, HangBudget, InstanceFaults, InstanceHealth, JsonlSink, Mutator, ParallelStats,
         Stage, SupervisorConfig, SyncHub, Telemetry, TelemetryEvent, TelemetryRegistry,
         TelemetrySnapshot, WorkerOptions, WorkerRole,
     };

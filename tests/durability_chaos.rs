@@ -250,6 +250,44 @@ fn short_read_during_restore_falls_back_one_generation() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// `Campaign::resume_from` is the start-up path of supervised thread
+/// instances and fabric workers alike: it skips a corrupt newest
+/// generation, restores the older one, and reports the skip as one
+/// `CheckpointFallback`.
+#[test]
+fn resume_from_skips_a_corrupt_newest_generation_and_reports_the_fallback() {
+    let (program, instrumentation, seeds) = fixture();
+    let root = tmp_root("resume-from");
+
+    let interpreter = Interpreter::new(&program);
+    let mut campaign = Campaign::new(config(600), &interpreter, &instrumentation);
+    campaign.add_seeds(seeds);
+    let mut manager = CheckpointManager::new(&root, 250).with_keep(2);
+    let mut written = Vec::new();
+    campaign.run_with_hook(250, |c| {
+        if manager.maybe_checkpoint(c).expect("checkpoint write") {
+            written.push(c.execs());
+        }
+    });
+    assert!(written.len() >= 2, "need two generations: {written:?}");
+
+    // Tear the newest generation in half on disk.
+    let newest = root.join(bigmap::fuzzer::checkpoint::CHECKPOINT_FILE);
+    let bytes = std::fs::read(&newest).expect("newest generation");
+    std::fs::write(&newest, &bytes[..bytes.len() / 2]).expect("tear");
+
+    let mut resumed = Campaign::new(config(600), &interpreter, &instrumentation);
+    let telemetry = Arc::new(Telemetry::new(0));
+    resumed.set_telemetry(Arc::clone(&telemetry));
+    assert!(resumed
+        .resume_from(&root)
+        .expect("the older generation is intact"));
+    assert_eq!(telemetry.get(TelemetryEvent::CheckpointFallback), 1);
+    assert_eq!(resumed.execs(), written[written.len() - 2]);
+
+    std::fs::remove_dir_all(&root).ok();
+}
+
 /// Corpus durability end to end: a saved output directory with one
 /// truncated and one unreadable entry still reloads, the damaged entries
 /// land in `quarantine/` with reason files, and the reloaded corpus

@@ -258,8 +258,19 @@ fn parallel_fleet_beats_single_instance() {
         budget: Budget::Time(Duration::from_millis(600)),
         ..Default::default()
     };
-    let one = run_parallel(&program, &instrumentation, &config, &seeds, 1, 2_000);
-    let four = run_parallel(&program, &instrumentation, &config, &seeds, 4, 2_000);
+    let fleet = |instances| {
+        run_supervised(
+            &program,
+            &instrumentation,
+            &config,
+            &seeds,
+            instances,
+            2_000,
+            &SupervisorConfig::default(),
+            None,
+        )
+    };
+    let (one, four) = (fleet(1), fleet(4));
     assert_eq!(four.instances.len(), 4);
     // Wall-clock scaling depends on physical core count (a single-core
     // host time-shares the instances), so the portable assertion is that

@@ -9,6 +9,7 @@
 
 use std::collections::HashSet;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use bigmap::fuzzer::{parse_jsonl, run_fleet, FleetConfig, InstanceHealth};
@@ -167,6 +168,33 @@ fn worker_that_keeps_dying_is_declared_dead() {
     );
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A worker binary that cannot be spawned burns restart budget like any
+/// abnormal exit: one initial attempt plus `max_restarts` respawns, then
+/// `Dead` — and the fleet itself still returns `Ok`.
+#[test]
+fn unspawnable_worker_uses_its_restart_budget_then_dies() {
+    let attempts = AtomicUsize::new(0);
+    let config = FleetConfig {
+        workers: 1,
+        max_restarts: 2,
+        backoff: Duration::from_millis(1),
+        fleet_jsonl: None,
+        liveness_deadline: None,
+    };
+    let stats = run_fleet(&config, |_| {
+        attempts.fetch_add(1, Ordering::Relaxed);
+        Command::new("/nonexistent/bigmap-fabric-worker")
+    })
+    .expect("spawn failures are reported per worker, not as a fleet error");
+
+    assert_eq!(attempts.load(Ordering::Relaxed), 3);
+    match &stats.stats.health[0] {
+        InstanceHealth::Dead(msg) => assert!(msg.contains("spawn failed"), "got: {msg}"),
+        other => panic!("expected a dead worker, got {other:?}"),
+    }
+    assert_eq!(stats.stats.instances[0].execs, 0);
 }
 
 fn tempdir(tag: &str) -> std::path::PathBuf {
