@@ -4,7 +4,7 @@
 //! Sweeps every kernel the host supports (`scalar`, `sse2`, `avx2`) over
 //! {classify, compare, fused classify+compare} at each region size, plus a
 //! reset-strategy sweep ({cached `fill(0)`, non-temporal streaming stores})
-//! that locates the crossover justifying the `BIGMAP_NT_THRESHOLD` default,
+//! that locates the crossover justifying the `simd::NT_THRESHOLD` cutoff,
 //! plus a coverage-density sweep ({sparse journal walk, dense kernel,
 //! adaptive dispatch} × {clustered, uniform} slot layouts) that locates the
 //! sparse/dense crossover behind `DENSITY_CROSSOVER_DIVISOR`, plus a
@@ -43,7 +43,7 @@ use bigmap_core::alloc::{with_huge_policy, HugePolicy, MapBuffer};
 use bigmap_core::classify::classify_slice;
 use bigmap_core::journal::{runs_from_slots, SlotRun};
 use bigmap_core::kernels::{active, available, table_for, KernelKind};
-use bigmap_core::simd::{nt_threshold, stream_zero};
+use bigmap_core::simd::{stream_zero, NT_THRESHOLD};
 use bigmap_core::sparse::{classify_and_compare_runs, select_path, OpPath, SparseMode};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -152,7 +152,7 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    println!("nt_threshold: {} bytes\n", nt_threshold());
+    println!("nt_threshold: {NT_THRESHOLD} bytes\n");
 
     let mut samples: Vec<Sample> = Vec::new();
     let mut density_samples: Vec<DensitySample> = Vec::new();
@@ -210,7 +210,7 @@ fn main() {
         }
 
         // --- reset sweep: cached fill vs streaming stores around the NT
-        //     threshold (the satellite that pins BIGMAP_NT_THRESHOLD) ---
+        //     threshold (the measurement that pins NT_THRESHOLD) ---
         println!("\nreset sweep (fill vs non-temporal stream):");
         println!(
             "{:<10} {:<8} {:>9} {:>12} {:>10}",
@@ -915,7 +915,7 @@ fn render_json(
     out.push_str("{\n");
     let _ = writeln!(out, "  \"benchmark\": \"bench_mapops\",");
     let _ = writeln!(out, "  \"mode\": \"{}\",", effort.label());
-    let _ = writeln!(out, "  \"nt_threshold\": {},", nt_threshold());
+    let _ = writeln!(out, "  \"nt_threshold\": {NT_THRESHOLD},");
     let kernel_list = kernels
         .iter()
         .map(|k| format!("\"{}\"", k.label()))

@@ -104,6 +104,15 @@ struct PassStats {
     total_steps: u64,
 }
 
+/// The three raw engines under test. `Compiled` has no `BIGMAP_INTERP`
+/// spelling: it calls the bytecode engine directly, without snapshots.
+#[derive(Clone, Copy)]
+enum Engine {
+    Tree,
+    Compiled,
+    Snapshot,
+}
+
 /// One full pass over the stream: every parent and child runs once into
 /// a null sink. The `snapshot` engine times its per-parent priming run
 /// inside the pass — the memoization cost is part of the price it pays,
@@ -111,13 +120,21 @@ struct PassStats {
 fn stream_pass(
     interp: &Interpreter<'_>,
     stream: &[(Vec<u8>, Vec<Vec<u8>>)],
-    mode: InterpMode,
+    engine: Engine,
     work: u32,
 ) -> PassStats {
     let budget = ExecConfig::default().max_steps;
     let mut stats = PassStats::default();
-    if mode.uses_snapshots() {
-        let compiled = interp.compiled().expect("suite programs lower cleanly");
+    let compiled = interp.compiled().expect("suite programs lower cleanly");
+    let run_cold = |input: &[u8]| match engine {
+        Engine::Tree => {
+            interp.run_bounded_mode(input, &mut NullSink, budget, InterpMode::Tree);
+        }
+        _ => {
+            compiled.run_bounded(input, &mut NullSink, budget, work);
+        }
+    };
+    if let Engine::Snapshot = engine {
         for (parent, children) in stream {
             let (_, recording) = compiled.record(parent, &mut NullSink, budget, work);
             stats.execs += 1;
@@ -139,10 +156,10 @@ fn stream_pass(
         }
     } else {
         for (parent, children) in stream {
-            interp.run_bounded_mode(parent, &mut NullSink, budget, mode);
+            run_cold(parent);
             stats.execs += 1;
             for child in children {
-                interp.run_bounded_mode(child, &mut NullSink, budget, mode);
+                run_cold(child);
                 stats.execs += 1;
             }
         }
@@ -160,16 +177,16 @@ fn stream_pass(
 fn run_raw(
     interp: &Interpreter<'_>,
     stream: &[(Vec<u8>, Vec<Vec<u8>>)],
-    mode: InterpMode,
+    engine: Engine,
     work: u32,
     min_measure: std::time::Duration,
 ) -> RawResult {
-    stream_pass(interp, stream, mode, work);
+    stream_pass(interp, stream, engine, work);
     let mut total = PassStats::default();
     let mut passes = 0usize;
     let start = Instant::now();
     while passes < 2 || start.elapsed() < min_measure {
-        let pass = stream_pass(interp, stream, mode, work);
+        let pass = stream_pass(interp, stream, engine, work);
         total.execs += pass.execs;
         total.hits += pass.hits;
         total.misses += pass.misses;
@@ -303,15 +320,9 @@ fn run_suite(
             ..Default::default()
         };
         let tree_interp = Interpreter::with_mode(&prepared.program, config, InterpMode::Tree);
-        let tree = run_raw(&tree_interp, &stream, InterpMode::Tree, work, min_measure);
-        let compiled = run_raw(
-            &tree_interp,
-            &stream,
-            InterpMode::Compiled,
-            work,
-            min_measure,
-        );
-        let snapshot = run_raw(&tree_interp, &stream, InterpMode::Auto, work, min_measure);
+        let tree = run_raw(&tree_interp, &stream, Engine::Tree, work, min_measure);
+        let compiled = run_raw(&tree_interp, &stream, Engine::Compiled, work, min_measure);
+        let snapshot = run_raw(&tree_interp, &stream, Engine::Snapshot, work, min_measure);
 
         let comp_spd = compiled.execs_per_sec / tree.execs_per_sec.max(1e-9);
         let snap_spd = snapshot.execs_per_sec / tree.execs_per_sec.max(1e-9);

@@ -167,12 +167,7 @@ impl AllocBackend {
     }
 
     fn slot(self) -> usize {
-        match self {
-            AllocBackend::ExplicitGigantic => 0,
-            AllocBackend::ExplicitHuge => 1,
-            AllocBackend::Thp => 2,
-            AllocBackend::Plain => 3,
-        }
+        self as usize
     }
 }
 
@@ -789,6 +784,19 @@ fn bind_region(_ptr: *mut u8, _len: usize) {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn backend_slots_follow_declaration_order() {
+        let backends = [
+            AllocBackend::ExplicitGigantic,
+            AllocBackend::ExplicitHuge,
+            AllocBackend::Thp,
+            AllocBackend::Plain,
+        ];
+        for (i, backend) in backends.into_iter().enumerate() {
+            assert_eq!(backend.slot(), i, "{backend}");
+        }
+    }
 
     #[test]
     fn zeroed_is_all_zero() {

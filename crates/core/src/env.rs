@@ -4,11 +4,10 @@
 //! declared here as a [`Knob`]: its name, accepted values, default and
 //! one-line description. The typed accessors ([`kernel_request`],
 //! [`sparse_request`], [`trace_request`], [`interp_request`],
-//! [`nt_threshold_request`], [`huge_request`], [`numa_request`],
-//! [`sync_batch`], [`fabric_worker`], [`ckpt_keep`], [`heartbeat_ms`],
-//! [`liveness_deadline_ms`]) parse and validate in one pass and are the only
-//! code in the workspace that calls `std::env::var` for a `BIGMAP_*`
-//! name, so the registry cannot drift from the behaviour.
+//! [`huge_request`], [`numa_request`], [`fabric_worker`],
+//! [`heartbeat_ms`]) parse and validate in one pass and are the only code
+//! in the workspace that calls `std::env::var` for a `BIGMAP_*` name, so
+//! the registry cannot drift from the behaviour.
 //!
 //! Two consequences of centralizing:
 //!
@@ -80,19 +79,12 @@ pub const KNOBS: &[Knob] = &[
     },
     Knob {
         name: "BIGMAP_INTERP",
-        values: "`tree` \\| `compiled` \\| `auto`",
+        values: "`tree` \\| `auto`",
         default: "`auto`",
-        description: "Target execution engine: `tree` walks the CFG IR, `compiled` runs the \
-                      flattened threaded bytecode, `auto` adds snapshot resets that resume \
-                      mutated children from the scheduled parent's memoized trace prefix. All \
-                      modes produce bit-identical campaign trajectories.",
-    },
-    Knob {
-        name: "BIGMAP_NT_THRESHOLD",
-        values: "bytes (integer)",
-        default: "`262144`",
-        description: "Streaming-store cutoff for zeroing: buffers at or below this use a plain \
-                      cached `fill(0)`, larger ones use non-temporal stores.",
+        description: "Target execution engine: `tree` walks the CFG IR, `auto` runs the \
+                      flattened threaded bytecode with snapshot resets that resume mutated \
+                      children from the scheduled parent's memoized trace prefix. Both modes \
+                      produce bit-identical campaign trajectories.",
     },
     Knob {
         name: "BIGMAP_HUGE",
@@ -115,13 +107,6 @@ pub const KNOBS: &[Knob] = &[
                       degrade to unpinned execution, never an error.",
     },
     Knob {
-        name: "BIGMAP_SYNC_BATCH",
-        values: "entries (integer ≥ 1)",
-        default: "`64`",
-        description: "Max corpus entries coalesced into one wire frame by the process-fleet \
-                      sync client; publishes larger than this are split across frames.",
-    },
-    Knob {
         name: "BIGMAP_FABRIC_WORKER",
         values: "`<index>/<count>`",
         default: "unset",
@@ -129,27 +114,11 @@ pub const KNOBS: &[Knob] = &[
                       host binary that sees it assumes the worker role. Not for manual use.",
     },
     Knob {
-        name: "BIGMAP_CKPT_KEEP",
-        values: "generations (integer ≥ 1)",
-        default: "`3`",
-        description: "Checkpoint generations retained per instance (`checkpoint`, \
-                      `checkpoint.1`, …); restore falls back to the newest generation whose \
-                      section checksums verify.",
-    },
-    Knob {
         name: "BIGMAP_HEARTBEAT_MS",
         values: "milliseconds (integer, `0` disables)",
         default: "`500`",
         description: "Cadence at which fleet workers emit `HEARTBEAT` frames carrying their \
                       exec counter, so the parent can tell a hung worker from a slow one.",
-    },
-    Knob {
-        name: "BIGMAP_LIVENESS_DEADLINE_MS",
-        values: "milliseconds (integer, `0` disables)",
-        default: "`30000`",
-        description: "Max time the fleet parent tolerates a worker making no progress (no \
-                      frames, or heartbeats with a frozen exec counter) before killing and \
-                      restarting it through the supervisor path.",
     },
 ];
 
@@ -253,20 +222,6 @@ pub fn interp_request() -> InterpMode {
     crate::interp::select_interp_mode(raw("BIGMAP_INTERP").as_deref())
 }
 
-/// `BIGMAP_NT_THRESHOLD`: the requested non-temporal-store cutoff in
-/// bytes, if set and parseable. Malformed values warn and read as `None`
-/// (keep the measured default).
-pub fn nt_threshold_request() -> Option<usize> {
-    let raw = raw("BIGMAP_NT_THRESHOLD")?;
-    match raw.trim().parse::<usize>() {
-        Ok(bytes) => Some(bytes),
-        Err(_) => {
-            eprintln!("BIGMAP_NT_THRESHOLD={raw}: not a byte count, using default");
-            None
-        }
-    }
-}
-
 /// `BIGMAP_HUGE`: the requested map-buffer page backend.
 ///
 /// Unknown values warn on stderr and read as [`HugePolicy::Thp`]; the
@@ -281,27 +236,6 @@ pub fn huge_request() -> HugePolicy {
 /// parse policy itself lives in [`crate::alloc::parse_numa`].
 pub fn numa_request() -> NumaPolicy {
     crate::alloc::parse_numa(raw("BIGMAP_NUMA").as_deref())
-}
-
-/// Default for [`sync_batch`].
-pub const SYNC_BATCH_DEFAULT: usize = 64;
-
-/// `BIGMAP_SYNC_BATCH`: max corpus entries per sync wire frame.
-/// Malformed or zero values warn and read as the default.
-pub fn sync_batch() -> usize {
-    match raw("BIGMAP_SYNC_BATCH") {
-        None => SYNC_BATCH_DEFAULT,
-        Some(raw) => match raw.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!(
-                    "BIGMAP_SYNC_BATCH={raw}: expected an integer ≥ 1, \
-                     using {SYNC_BATCH_DEFAULT}"
-                );
-                SYNC_BATCH_DEFAULT
-            }
-        },
-    }
 }
 
 /// `BIGMAP_FABRIC_WORKER`: the `(index, count)` worker handshake, if this
@@ -325,27 +259,6 @@ pub fn fabric_worker() -> Option<(usize, usize)> {
     parsed
 }
 
-/// Default for [`ckpt_keep`].
-pub const CKPT_KEEP_DEFAULT: usize = 3;
-
-/// `BIGMAP_CKPT_KEEP`: how many checkpoint generations to retain.
-/// Malformed or zero values warn and read as the default.
-pub fn ckpt_keep() -> usize {
-    match raw("BIGMAP_CKPT_KEEP") {
-        None => CKPT_KEEP_DEFAULT,
-        Some(raw) => match raw.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!(
-                    "BIGMAP_CKPT_KEEP={raw}: expected an integer ≥ 1, \
-                     using {CKPT_KEEP_DEFAULT}"
-                );
-                CKPT_KEEP_DEFAULT
-            }
-        },
-    }
-}
-
 /// Default for [`heartbeat_ms`].
 pub const HEARTBEAT_MS_DEFAULT: u64 = 500;
 
@@ -353,29 +266,15 @@ pub const HEARTBEAT_MS_DEFAULT: u64 = 500;
 /// `0` disables the heartbeat thread. Malformed values warn and read as
 /// the default.
 pub fn heartbeat_ms() -> u64 {
-    millis_knob("BIGMAP_HEARTBEAT_MS", HEARTBEAT_MS_DEFAULT)
-}
-
-/// Default for [`liveness_deadline_ms`].
-pub const LIVENESS_DEADLINE_MS_DEFAULT: u64 = 30_000;
-
-/// `BIGMAP_LIVENESS_DEADLINE_MS`: fleet-parent no-progress deadline in
-/// milliseconds; `0` disables liveness enforcement. Malformed values
-/// warn and read as the default.
-pub fn liveness_deadline_ms() -> u64 {
-    millis_knob("BIGMAP_LIVENESS_DEADLINE_MS", LIVENESS_DEADLINE_MS_DEFAULT)
-}
-
-fn millis_knob(name: &str, default: u64) -> u64 {
-    match raw(name) {
-        None => default,
-        Some(raw) => match raw.trim().parse::<u64>() {
-            Ok(ms) => ms,
-            Err(_) => {
-                eprintln!("{name}={raw}: expected milliseconds (integer), using {default}");
-                default
-            }
-        },
+    match raw("BIGMAP_HEARTBEAT_MS") {
+        None => HEARTBEAT_MS_DEFAULT,
+        Some(raw) => raw.trim().parse::<u64>().unwrap_or_else(|_| {
+            eprintln!(
+                "BIGMAP_HEARTBEAT_MS={raw}: expected milliseconds (integer), \
+                 using {HEARTBEAT_MS_DEFAULT}"
+            );
+            HEARTBEAT_MS_DEFAULT
+        }),
     }
 }
 
@@ -391,6 +290,24 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), len, "duplicate knob names");
         assert!(names.iter().all(|n| n.starts_with("BIGMAP_")));
+    }
+
+    #[test]
+    fn registry_declares_exactly_the_surviving_knobs() {
+        let names: Vec<&str> = KNOBS.iter().map(|k| k.name).collect();
+        assert_eq!(
+            names,
+            [
+                "BIGMAP_KERNEL",
+                "BIGMAP_SPARSE",
+                "BIGMAP_TRACE_MODE",
+                "BIGMAP_INTERP",
+                "BIGMAP_HUGE",
+                "BIGMAP_NUMA",
+                "BIGMAP_FABRIC_WORKER",
+                "BIGMAP_HEARTBEAT_MS",
+            ]
+        );
     }
 
     #[test]
@@ -428,9 +345,6 @@ mod tests {
     fn unset_knobs_read_as_defaults() {
         // The test environment does not set these (CI pins happen in
         // dedicated jobs that only run the equivalence suites).
-        if std::env::var_os("BIGMAP_SYNC_BATCH").is_none() {
-            assert_eq!(sync_batch(), SYNC_BATCH_DEFAULT);
-        }
         if std::env::var_os("BIGMAP_FABRIC_WORKER").is_none() {
             assert_eq!(fabric_worker(), None);
         }
@@ -446,14 +360,8 @@ mod tests {
         if std::env::var_os("BIGMAP_NUMA").is_none() {
             assert_eq!(numa_request(), NumaPolicy::Auto);
         }
-        if std::env::var_os("BIGMAP_CKPT_KEEP").is_none() {
-            assert_eq!(ckpt_keep(), CKPT_KEEP_DEFAULT);
-        }
         if std::env::var_os("BIGMAP_HEARTBEAT_MS").is_none() {
             assert_eq!(heartbeat_ms(), HEARTBEAT_MS_DEFAULT);
-        }
-        if std::env::var_os("BIGMAP_LIVENESS_DEADLINE_MS").is_none() {
-            assert_eq!(liveness_deadline_ms(), LIVENESS_DEADLINE_MS_DEFAULT);
         }
     }
 

@@ -14,29 +14,18 @@
 //! about to be re-read (classify/compare touch the same lines), so a
 //! cached memset is both faster and leaves the lines warm. The public
 //! [`nontemporal_zero`] is therefore **threshold-aware** — plain `fill(0)`
-//! at or below [`nt_threshold`] (default 256 KiB, `BIGMAP_NT_THRESHOLD`
-//! overrides; measured crossover recorded in EXPERIMENTS.md from the
-//! `bench_mapops` reset sweep) and streaming stores above it.
+//! at or below [`NT_THRESHOLD`] (256 KiB; measured crossover recorded in
+//! EXPERIMENTS.md from the `bench_mapops` reset sweep) and streaming
+//! stores above it.
 //! [`stream_zero`] always streams, for ablation arms that force the
 //! strategy.
 
-use std::sync::OnceLock;
-
-/// Default [`nt_threshold`] cutoff: buffers at or below this size zero with
-/// a plain cached memset (the modeled per-core L2 capacity).
-pub const NT_THRESHOLD_DEFAULT: usize = 256 * 1024;
-
-/// The streaming-store cutoff in bytes, resolved once per process:
-/// `BIGMAP_NT_THRESHOLD` (bytes, decimal, via
-/// [`crate::env::nt_threshold_request`]) if set and parseable, else
-/// [`NT_THRESHOLD_DEFAULT`].
-pub fn nt_threshold() -> usize {
-    static THRESHOLD: OnceLock<usize> = OnceLock::new();
-    *THRESHOLD.get_or_init(|| crate::env::nt_threshold_request().unwrap_or(NT_THRESHOLD_DEFAULT))
-}
+/// The streaming-store cutoff in bytes: buffers at or below this size zero
+/// with a plain cached memset (the modeled per-core L2 capacity).
+pub const NT_THRESHOLD: usize = 256 * 1024;
 
 /// Zeroes `buf`, choosing the reset strategy by size: a plain cached
-/// `fill(0)` at or below [`nt_threshold`] (small maps are about to be
+/// `fill(0)` at or below [`NT_THRESHOLD`] (small maps are about to be
 /// re-read — cache pollution is a non-issue and NT stores just add fence
 /// latency), streaming non-temporal stores above it.
 ///
@@ -52,7 +41,7 @@ pub fn nt_threshold() -> usize {
 /// assert!(buf.iter().all(|&b| b == 0));
 /// ```
 pub fn nontemporal_zero(buf: &mut [u8]) {
-    if buf.len() <= nt_threshold() {
+    if buf.len() <= NT_THRESHOLD {
         buf.fill(0);
     } else {
         stream_zero(buf);
@@ -141,16 +130,8 @@ mod tests {
     }
 
     #[test]
-    fn default_threshold_matches_documented_l2_cutoff() {
-        // BIGMAP_NT_THRESHOLD is not set in the test environment, so the
-        // resolved cutoff must be the documented default.
-        assert_eq!(NT_THRESHOLD_DEFAULT, 256 * 1024);
-        assert_eq!(nt_threshold(), NT_THRESHOLD_DEFAULT);
-    }
-
-    #[test]
     fn both_strategies_zero_above_and_below_threshold() {
-        for len in [1024usize, NT_THRESHOLD_DEFAULT, NT_THRESHOLD_DEFAULT + 4096] {
+        for len in [1024usize, NT_THRESHOLD, NT_THRESHOLD + 4096] {
             let mut a = vec![0x77u8; len];
             let mut b = vec![0x77u8; len];
             nontemporal_zero(&mut a);

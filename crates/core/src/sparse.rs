@@ -70,10 +70,7 @@ pub enum OpPath {
 impl OpPath {
     /// Stable index for per-path counters.
     fn slot(self) -> usize {
-        match self {
-            OpPath::Dense => 0,
-            OpPath::Sparse => 1,
-        }
+        self as usize
     }
 }
 
@@ -428,6 +425,12 @@ pub fn classify_and_compare_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn op_path_slots_follow_declaration_order() {
+        assert_eq!(OpPath::Dense.slot(), 0);
+        assert_eq!(OpPath::Sparse.slot(), 1);
+    }
 
     #[test]
     fn labels_round_trip() {

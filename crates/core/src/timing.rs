@@ -9,22 +9,25 @@ use std::fmt;
 use std::time::Duration;
 
 /// The stages of the per-test-case pipeline that the paper accounts for.
+///
+/// The discriminants follow [`OpKind::ALL`] (Figure 3's stacking order)
+/// and index the per-stage accumulators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Running the (instrumented) target — includes the bitmap *update*
     /// cost, exactly as in the paper, where the update happens inside the
     /// instrumented target's execution.
-    Execution,
+    Execution = 0,
     /// Bitmap reset before each test case.
-    Reset,
+    Reset = 3,
     /// Bitmap classify (bucketing) after each test case.
-    Classify,
+    Classify = 1,
     /// Bitmap compare against the virgin map(s).
-    Compare,
+    Compare = 2,
     /// Bitmap hash (interesting test cases only).
-    Hash,
+    Hash = 4,
     /// Everything else: scheduling, mutation, queue maintenance, sync.
-    Other,
+    Other = 5,
 }
 
 impl OpKind {
@@ -51,14 +54,7 @@ impl OpKind {
     }
 
     fn slot(self) -> usize {
-        match self {
-            OpKind::Execution => 0,
-            OpKind::Reset => 1,
-            OpKind::Classify => 2,
-            OpKind::Compare => 3,
-            OpKind::Hash => 4,
-            OpKind::Other => 5,
-        }
+        self as usize
     }
 }
 
@@ -183,6 +179,13 @@ impl fmt::Display for OpStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn slots_follow_all() {
+        for (i, kind) in OpKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind}");
+        }
+    }
 
     #[test]
     fn accumulates_and_totals() {

@@ -1877,38 +1877,31 @@ mod tests {
             (campaign.run(), tel)
         };
         let (tree, tree_tel) = run(InterpMode::Tree);
-        for mode in [InterpMode::Compiled, InterpMode::Auto] {
-            let (stats, tel) = run(mode);
-            // The engine is pure dispatch: the whole campaign trajectory
-            // must be bit-identical to the tree walker's.
-            assert_eq!(stats.execs, tree.execs, "{mode:?}");
-            assert_eq!(stats.queue_len, tree.queue_len, "{mode:?}");
-            assert_eq!(stats.used_len, tree.used_len, "{mode:?}");
-            assert_eq!(stats.discovered_slots, tree.discovered_slots, "{mode:?}");
-            assert_eq!(stats.total_crashes, tree.total_crashes, "{mode:?}");
-            assert_eq!(stats.unique_crashes, tree.unique_crashes, "{mode:?}");
-            assert_eq!(stats.hangs, tree.hangs, "{mode:?}");
-            assert_eq!(
-                stats.timeline.points(),
-                tree.timeline.points(),
-                "{mode:?} changed the coverage trajectory"
-            );
-            // Non-vacuousness: the compiled engine actually served execs.
-            assert_eq!(
-                tel.get(TelemetryEvent::CompiledExec),
-                tel.get(TelemetryEvent::Exec),
-                "{mode:?}: every exec should be compiled"
-            );
-            if mode == InterpMode::Auto {
-                assert!(
-                    tel.get(TelemetryEvent::SnapshotHit) > 0,
-                    "auto mode never reused a parent snapshot"
-                );
-            } else {
-                assert_eq!(tel.get(TelemetryEvent::SnapshotHit), 0, "{mode:?}");
-                assert_eq!(tel.get(TelemetryEvent::SnapshotMiss), 0, "{mode:?}");
-            }
-        }
+        let (stats, tel) = run(InterpMode::Auto);
+        // The engine is pure dispatch: the whole campaign trajectory must
+        // be bit-identical to the tree walker's.
+        assert_eq!(stats.execs, tree.execs);
+        assert_eq!(stats.queue_len, tree.queue_len);
+        assert_eq!(stats.used_len, tree.used_len);
+        assert_eq!(stats.discovered_slots, tree.discovered_slots);
+        assert_eq!(stats.total_crashes, tree.total_crashes);
+        assert_eq!(stats.unique_crashes, tree.unique_crashes);
+        assert_eq!(stats.hangs, tree.hangs);
+        assert_eq!(
+            stats.timeline.points(),
+            tree.timeline.points(),
+            "auto changed the coverage trajectory"
+        );
+        // Non-vacuousness: the compiled engine actually served execs.
+        assert_eq!(
+            tel.get(TelemetryEvent::CompiledExec),
+            tel.get(TelemetryEvent::Exec),
+            "every exec should be compiled"
+        );
+        assert!(
+            tel.get(TelemetryEvent::SnapshotHit) > 0,
+            "auto mode never reused a parent snapshot"
+        );
         assert_eq!(tree_tel.get(TelemetryEvent::CompiledExec), 0);
         assert_eq!(tree_tel.get(TelemetryEvent::SnapshotHit), 0);
     }

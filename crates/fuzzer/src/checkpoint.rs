@@ -32,14 +32,12 @@
 //! * The v2 file format appends a per-section CRC32 footer (`crc
 //!   <section> <hex>`), so torn writes and bit flips that survive the
 //!   rename discipline (misbehaving disks, truncated copies) are
-//!   *detected* on load rather than silently restoring garbage. v1
-//!   files (no checksums) still load via a trusted-legacy path.
-//! * The last [`env::ckpt_keep`](bigmap_core::env::ckpt_keep)
-//!   generations are retained (`checkpoint`, `checkpoint.1`, …);
-//!   [`CheckpointManager::load`] falls back to the newest generation
-//!   whose checksums verify, so one corrupt snapshot degrades the
-//!   campaign by one checkpoint interval instead of forcing a cold
-//!   start.
+//!   *detected* on load rather than silently restoring garbage.
+//! * The last [`DEFAULT_KEEP`] generations are retained (`checkpoint`,
+//!   `checkpoint.1`, …); [`CheckpointManager::load`] falls back to the
+//!   newest generation whose checksums verify, so one corrupt snapshot
+//!   degrades the campaign by one checkpoint interval instead of forcing
+//!   a cold start.
 //!
 //! # Examples
 //!
@@ -97,9 +95,9 @@ pub const CHECKPOINT_FILE: &str = "checkpoint";
 const CHECKPOINT_TMP: &str = "checkpoint.tmp";
 /// Format magic + version written by [`Checkpoint::to_text`].
 const MAGIC_V2: &str = "bigmap-checkpoint v2";
-/// The pre-checksum format; still parsed, as trusted-legacy (no
-/// integrity validation is possible without the footer).
-const MAGIC_V1: &str = "bigmap-checkpoint v1";
+/// Checkpoint generations a [`CheckpointManager`] retains unless
+/// [`CheckpointManager::with_keep`] overrides it.
+pub const DEFAULT_KEEP: usize = 3;
 
 /// The checksummed sections of a v2 file, in layout order. Every content
 /// line belongs to exactly one section; the footer carries one `crc`
@@ -212,9 +210,7 @@ pub struct Checkpoint {
     /// The queue's round-robin scheduling position. Without it a resumed
     /// campaign restarts the queue walk at entry 0 and schedules
     /// different parents than the uninterrupted run — the counters and
-    /// RNG streams alone don't pin the trajectory. Absent in v1 files
-    /// (reads as 0: correct until the first post-resume scheduling
-    /// decision, approximate after).
+    /// RNG streams alone don't pin the trajectory.
     pub queue_cursor: u64,
     /// The queue, in admission order.
     pub queue: Vec<CheckpointQueueEntry>,
@@ -346,10 +342,9 @@ impl Checkpoint {
 
     /// Parses a checkpoint from [`Checkpoint::to_text`] output.
     ///
-    /// v2 files have their per-section checksums verified; a mismatch —
-    /// a torn write or bit flip that survived the rename discipline —
-    /// is an error naming the corrupt section. v1 files carry no
-    /// checksums and parse as trusted-legacy.
+    /// Every section's checksum is verified; a mismatch — a torn write or
+    /// bit flip that survived the rename discipline — is an error naming
+    /// the corrupt section.
     ///
     /// # Errors
     ///
@@ -358,15 +353,9 @@ impl Checkpoint {
     /// section-checksum failure.
     pub fn from_text(text: &str) -> Result<Checkpoint, String> {
         let mut lines = text.lines();
-        let checksummed = match lines.next() {
-            Some(MAGIC_V2) => true,
-            Some(MAGIC_V1) => false,
-            _ => {
-                return Err(format!(
-                    "not a checkpoint file (expected '{MAGIC_V2}' or '{MAGIC_V1}')"
-                ))
-            }
-        };
+        if lines.next() != Some(MAGIC_V2) {
+            return Err(format!("not a checkpoint file (expected '{MAGIC_V2}')"));
+        }
         let mut ckpt = Checkpoint {
             execs: 0,
             wall_nanos: 0,
@@ -492,9 +481,6 @@ impl Checkpoint {
                         .collect();
                 }
                 "crc" => {
-                    if !checksummed {
-                        return Err(format!("line {lineno}: crc footer in a v1 checkpoint"));
-                    }
                     let name = next("section")?;
                     let section = SECTION_NAMES
                         .iter()
@@ -511,33 +497,33 @@ impl Checkpoint {
                 other => return Err(format!("line {lineno}: unknown key '{other}'")),
             }
         }
-        if !ended {
+        // The writer ends every file with "end\n": anything short of that,
+        // down to the final newline, is a truncated file.
+        if !ended || !text.ends_with('\n') {
             return Err("truncated checkpoint (missing 'end' sentinel)".to_string());
         }
-        if checksummed {
-            for (section, name) in SECTION_NAMES.iter().enumerate() {
-                let body = &section_text[section];
-                match declared_crc[section] {
-                    Some(declared) if body.is_empty() => {
+        for (section, name) in SECTION_NAMES.iter().enumerate() {
+            let body = &section_text[section];
+            match declared_crc[section] {
+                Some(declared) if body.is_empty() => {
+                    return Err(format!(
+                        "checksum declared for empty section '{name}' \
+                                        ({declared:08x}) — content lines lost"
+                    ));
+                }
+                Some(declared) => {
+                    let computed = Crc32::checksum(body.as_bytes());
+                    if computed != declared {
                         return Err(format!(
-                            "checksum declared for empty section '{name}' \
-                                            ({declared:08x}) — content lines lost"
+                            "section '{name}' checksum mismatch \
+                             (declared {declared:08x}, computed {computed:08x})"
                         ));
                     }
-                    Some(declared) => {
-                        let computed = Crc32::checksum(body.as_bytes());
-                        if computed != declared {
-                            return Err(format!(
-                                "section '{name}' checksum mismatch \
-                                 (declared {declared:08x}, computed {computed:08x})"
-                            ));
-                        }
-                    }
-                    None if !body.is_empty() => {
-                        return Err(format!("missing checksum for section '{name}'"));
-                    }
-                    None => {}
                 }
+                None if !body.is_empty() => {
+                    return Err(format!("missing checksum for section '{name}'"));
+                }
+                None => {}
             }
         }
         Ok(ckpt)
@@ -557,7 +543,8 @@ pub struct RestoreReport {
 
 /// Writes periodic checkpoints for one campaign into a directory, via
 /// fsynced temp-file + atomic rename, retaining the last
-/// [`env::ckpt_keep`](bigmap_core::env::ckpt_keep) generations.
+/// [`DEFAULT_KEEP`] generations unless [`CheckpointManager::with_keep`]
+/// says otherwise.
 ///
 /// The manager owns the cadence (every N executions, checked at sync
 /// boundaries) and the persistence; the state capture itself is
@@ -581,7 +568,7 @@ pub struct CheckpointManager {
 impl CheckpointManager {
     /// Manager writing into `dir` (created on first write) every `every`
     /// executions. An `every` of 0 checkpoints at every opportunity.
-    /// Retains `BIGMAP_CKPT_KEEP` generations (override with
+    /// Retains [`DEFAULT_KEEP`] generations (override with
     /// [`CheckpointManager::with_keep`]).
     ///
     /// A stale `checkpoint.tmp` left by a crash mid-publish is removed
@@ -597,7 +584,7 @@ impl CheckpointManager {
             next_at: every,
             min_interval: Duration::ZERO,
             last_write: None,
-            keep: bigmap_core::env::ckpt_keep(),
+            keep: DEFAULT_KEEP,
         }
     }
 
@@ -880,9 +867,9 @@ mod tests {
 
     #[test]
     fn always_trace_checkpoints_keep_the_pre_oracle_format() {
-        // `oracle: None` must serialize byte-identically to the v1 format
-        // that predates selective tracing, and such files must parse with
-        // no oracle state (the conservative empty-oracle resume).
+        // `oracle: None` must serialize with no oracle lines at all, and
+        // such files must parse with no oracle state (the conservative
+        // empty-oracle resume).
         let text = sample().to_text();
         assert!(!text.contains("oracle"), "no oracle lines when None");
         let parsed = Checkpoint::from_text(&text).unwrap();
@@ -995,25 +982,6 @@ mod tests {
     fn load_missing_dir_is_none() {
         let dir = std::env::temp_dir().join("bigmap-ckpt-missing-nonexistent");
         assert!(CheckpointManager::load(&dir).unwrap().is_none());
-    }
-
-    #[test]
-    fn v1_files_parse_as_trusted_legacy() {
-        // A v1 file is exactly a v2 file minus the crc footer with the
-        // old magic; it must load without integrity validation.
-        let ckpt = sample();
-        let v1: String = ckpt
-            .to_text()
-            .lines()
-            .filter(|line| !line.starts_with("crc "))
-            .map(|line| format!("{line}\n"))
-            .collect::<String>()
-            .replace(MAGIC_V2, MAGIC_V1);
-        assert!(!v1.contains("crc "));
-        assert_eq!(Checkpoint::from_text(&v1).expect("v1 parses"), ckpt);
-        // But a crc footer inside a v1 file is malformed.
-        let bad = v1.replace("\nend\n", "\ncrc header 00000000\nend\n");
-        assert!(Checkpoint::from_text(&bad).unwrap_err().contains("v1"));
     }
 
     #[test]

@@ -36,9 +36,13 @@
 //! is the pipe itself**: frames are written straight to the blocking
 //! stdio pipe, so a worker that publishes faster than its service thread
 //! drains simply blocks at the next sync boundary — no unbounded queue
-//! on either side. Publishes larger than `BIGMAP_SYNC_BATCH` entries are
+//! on either side. Publishes larger than [`SYNC_BATCH`] entries are
 //! split across frames so one giant find burst cannot monopolize the
-//! pipe between fetch opportunities.
+//! pipe between fetch opportunities. A `BATCH` reply stops before the
+//! entry that would push it past the wire's frame cap and carries the
+//! cursor of that entry, so a worker far behind the corpus (say, one
+//! restarted from cursor zero) catches up over several syncs instead of
+//! overflowing one frame.
 //!
 //! ## Fault tolerance
 //!
@@ -71,7 +75,7 @@
 //! killed, counted as a `heartbeat_miss` in the fleet telemetry, and
 //! handed to the ordinary bounded-backoff restart path. The deadline
 //! comes from [`FleetConfig::liveness_deadline`] (default
-//! `BIGMAP_LIVENESS_DEADLINE_MS`); a zero duration disables enforcement.
+//! [`DEFAULT_LIVENESS_DEADLINE`]); a zero duration disables enforcement.
 
 use std::io;
 use std::path::PathBuf;
@@ -83,7 +87,7 @@ use std::time::{Duration, Instant};
 
 use bigmap_core::wire::{
     decode_sync_batch, encode_sync_batch, get_varint, put_varint, read_frame, write_frame,
-    WireError,
+    WireError, MAX_FRAME_PAYLOAD,
 };
 use bigmap_coverage::Instrumentation;
 use bigmap_target::{Interpreter, Program};
@@ -113,6 +117,23 @@ pub const FRAME_DONE: u8 = 7;
 /// `BIGMAP_HEARTBEAT_MS`; the parent treats it as progress only when
 /// the exec count has advanced.
 pub const FRAME_HEARTBEAT: u8 = 8;
+
+/// Max corpus entries a worker coalesces into one `PUBLISH` frame; larger
+/// publishes are split across frames.
+pub const SYNC_BATCH: usize = 64;
+
+/// How long a worker may go without progress before its service thread
+/// kills it, unless [`FleetConfig::liveness_deadline`] overrides it.
+pub const DEFAULT_LIVENESS_DEADLINE: Duration = Duration::from_secs(30);
+
+/// Bytes a `BATCH` reply may spend on entries: the frame cap less the
+/// batch's leading cursor and count varints (10 bytes each at most).
+const REPLY_BUDGET: usize = MAX_FRAME_PAYLOAD - 20;
+
+/// Framing per reply entry on top of its bytes: a one-byte publisher
+/// varint (replies send publisher 0) plus a length varint of at most 10
+/// bytes.
+const REPLY_ENTRY_OVERHEAD: usize = 11;
 
 /// This process's role in a fleet, from the `BIGMAP_FABRIC_WORKER`
 /// handshake the parent sets on its children.
@@ -201,7 +222,6 @@ pub fn run_worker(
     resume_or_seed(&mut campaign, options.checkpoint_dir.as_deref(), seeds);
 
     let mut cursor = 0u64;
-    let batch_limit = bigmap_core::env::sync_batch();
     let publisher = role.index as u64;
     let tel = Arc::clone(&telemetry);
 
@@ -244,7 +264,7 @@ pub fn run_worker(
             // Publish fresh finds, split into bounded frames.
             let finds = c.take_fresh_finds();
             tel.add(TelemetryEvent::SyncPublish, finds.len() as u64);
-            for chunk in finds.chunks(batch_limit.max(1)) {
+            for chunk in finds.chunks(SYNC_BATCH) {
                 let entries: Vec<(u64, &[u8])> = chunk
                     .iter()
                     .map(|input| (publisher, input.as_slice()))
@@ -318,9 +338,9 @@ pub struct FleetConfig {
     pub fleet_jsonl: Option<PathBuf>,
     /// How long a worker may go without *progress* (any non-heartbeat
     /// frame, or a heartbeat with an advanced exec count) before its
-    /// service thread kills and restarts it. `None` reads the
-    /// `BIGMAP_LIVENESS_DEADLINE_MS` default; `Some(Duration::ZERO)`
-    /// disables liveness enforcement entirely.
+    /// service thread kills and restarts it. `None` means
+    /// [`DEFAULT_LIVENESS_DEADLINE`]; `Some(Duration::ZERO)` disables
+    /// liveness enforcement entirely.
     pub liveness_deadline: Option<Duration>,
 }
 
@@ -341,6 +361,34 @@ pub struct FleetStats {
     /// (every kill also shows up as a `heartbeat_misses` counter in the
     /// merged telemetry, attributed to the affected node).
     pub heartbeat_misses: u64,
+}
+
+/// The parent's answer to a `FETCH` at `cursor` from worker `reader`: a
+/// `BATCH` of the entries published since, cut before the first entry
+/// that would overflow the frame cap (the cursor it carries then points
+/// at that entry), or a `CURSOR_FAULT` naming the rejected cursor.
+fn fetch_reply(hub: &SyncHub, mut cursor: u64, reader: usize) -> (u8, Vec<u8>) {
+    let mut budget = REPLY_BUDGET;
+    let fetched = hub.fetch_since_while(&mut cursor, reader, |input| {
+        let cost = input.len() + REPLY_ENTRY_OVERHEAD;
+        let fits = cost <= budget;
+        if fits {
+            budget -= cost;
+        }
+        fits
+    });
+    match fetched {
+        Ok(entries) => {
+            let borrowed: Vec<(u64, &[u8])> = entries.iter().map(|input| (0, &**input)).collect();
+            (FRAME_BATCH, encode_sync_batch(cursor, &borrowed))
+        }
+        Err(err) => {
+            let mut payload = Vec::with_capacity(20);
+            put_varint(&mut payload, err.cursor);
+            put_varint(&mut payload, err.published);
+            (FRAME_CURSOR_FAULT, payload)
+        }
+    }
 }
 
 /// Serves one worker attempt: translates its frames against the hub and
@@ -420,29 +468,24 @@ fn serve_attempt(
         match frame {
             Ok((FRAME_PUBLISH, payload)) => match decode_sync_batch(&payload) {
                 Ok(batch) => {
-                    let inputs = batch.entries.into_iter().map(|(_, input)| input).collect();
+                    // An entry too large for any reply could never be
+                    // served, and would stall every reader at its cursor.
+                    let inputs = batch
+                        .entries
+                        .into_iter()
+                        .map(|(_, input)| input)
+                        .filter(|input| input.len() + REPLY_ENTRY_OVERHEAD <= REPLY_BUDGET)
+                        .collect();
                     hub.publish(index, inputs);
                 }
                 Err(e) => return Err(format!("publish payload: {e}")),
             },
             Ok((FRAME_FETCH, payload)) => {
-                let mut cursor = match get_varint(&payload) {
+                let cursor = match get_varint(&payload) {
                     Ok((cursor, _)) => cursor,
                     Err(e) => return Err(format!("fetch payload: {e}")),
                 };
-                let reply = match hub.fetch_since(&mut cursor, index) {
-                    Ok(entries) => {
-                        let borrowed: Vec<(u64, &[u8])> =
-                            entries.iter().map(|input| (0, &**input)).collect();
-                        (FRAME_BATCH, encode_sync_batch(cursor, &borrowed))
-                    }
-                    Err(err) => {
-                        let mut payload = Vec::with_capacity(20);
-                        put_varint(&mut payload, err.cursor);
-                        put_varint(&mut payload, err.published);
-                        (FRAME_CURSOR_FAULT, payload)
-                    }
-                };
+                let reply = fetch_reply(hub, cursor, index);
                 if let Err(e) = write_frame(&mut stdin, reply.0, &reply.1) {
                     return Err(format!("fetch reply: {e}"));
                 }
@@ -505,7 +548,7 @@ pub fn run_fleet(
     };
     let deadline = config
         .liveness_deadline
-        .unwrap_or_else(|| Duration::from_millis(bigmap_core::env::liveness_deadline_ms()));
+        .unwrap_or(DEFAULT_LIVENESS_DEADLINE);
     let misses = AtomicU64::new(0);
 
     let spawn = |index: usize| -> io::Result<Child> {
@@ -689,6 +732,58 @@ mod tests {
         }
         put_varint(&mut hostile, u64::MAX);
         assert!(matches!(decode_stats(&hostile), Err(WireError::Truncated)));
+    }
+
+    /// Drives `FETCH` replies for `reader` from cursor 0 until it has
+    /// caught up, checking each reply fits one frame; returns the served
+    /// inputs in order and the number of replies it took.
+    fn drain(hub: &SyncHub, reader: usize) -> (Vec<Vec<u8>>, usize) {
+        let (mut cursor, mut served, mut replies) = (0u64, Vec::new(), 0);
+        while cursor < hub.published_count() {
+            let (kind, payload) = fetch_reply(hub, cursor, reader);
+            assert_eq!(kind, FRAME_BATCH);
+            assert!(payload.len() <= MAX_FRAME_PAYLOAD, "reply over the cap");
+            write_frame(&mut io::sink(), kind, &payload).expect("reply encodes");
+            let batch = decode_sync_batch(&payload).expect("reply decodes");
+            assert!(batch.cursor > cursor, "every reply makes progress");
+            cursor = batch.cursor;
+            served.extend(batch.entries.into_iter().map(|(_, input)| input));
+            replies += 1;
+        }
+        (served, replies)
+    }
+
+    #[test]
+    fn fetch_reply_over_the_frame_cap_is_split_across_syncs() {
+        // 34 MiB from another publisher, with the reader's own finds
+        // interleaved: more than one frame can carry.
+        let hub = SyncHub::new();
+        let mut foreign = Vec::new();
+        for i in 0..34u8 {
+            let input = vec![i; 1 << 20];
+            foreign.push(input.clone());
+            hub.publish(1, vec![input]);
+            hub.publish(0, vec![vec![0xEE, i]]);
+        }
+        let (served, replies) = drain(&hub, 0);
+        assert!(replies >= 2, "34 MiB fit in {replies} reply");
+        assert_eq!(served, foreign, "replies must add up to the full set");
+    }
+
+    #[test]
+    fn fetch_reply_below_the_cap_serves_everything_at_once() {
+        let hub = SyncHub::new();
+        hub.publish(1, vec![b"a".to_vec(), b"b".to_vec()]);
+        hub.publish(0, vec![b"own".to_vec()]);
+        hub.publish(2, vec![b"c".to_vec()]);
+        let (served, replies) = drain(&hub, 0);
+        assert_eq!(replies, 1);
+        assert_eq!(served, [b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]);
+        // A cursor past the corpus is refused, naming both numbers.
+        let (kind, payload) = fetch_reply(&hub, 9, 0);
+        assert_eq!(kind, FRAME_CURSOR_FAULT);
+        let (cursor, used) = get_varint(&payload).unwrap();
+        assert_eq!((cursor, get_varint(&payload[used..]).unwrap().0), (9, 4));
     }
 
     #[test]

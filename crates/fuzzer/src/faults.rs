@@ -94,17 +94,7 @@ impl FaultSite {
 
     #[inline]
     fn slot(self) -> usize {
-        match self {
-            FaultSite::TargetCrash => 0,
-            FaultSite::TargetHang => 1,
-            FaultSite::CheckpointWrite => 2,
-            FaultSite::WorkerPanic => 3,
-            FaultSite::TornWrite => 4,
-            FaultSite::ShortRead => 5,
-            FaultSite::BitFlip => 6,
-            FaultSite::PipeStall => 7,
-            FaultSite::DiskFull => 8,
-        }
+        self as usize
     }
 
     /// Human-readable site name (stable; used in fault-plan dumps).
@@ -343,7 +333,7 @@ mod tests {
         // `ALL`, `slot()`, and the ordinal-counter array length are
         // coupled; this pins the invariant as sites are added.
         for (index, site) in FaultSite::ALL.into_iter().enumerate() {
-            assert_eq!(site.slot(), index);
+            assert_eq!(site as usize, index);
         }
         let names: BTreeSet<&str> = FaultSite::ALL.iter().map(|s| s.name()).collect();
         assert_eq!(names.len(), FaultSite::COUNT);

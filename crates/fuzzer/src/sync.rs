@@ -120,6 +120,23 @@ impl SyncHub {
         cursor: &mut u64,
         reader: usize,
     ) -> Result<Vec<Arc<[u8]>>, CursorError> {
+        self.fetch_since_while(cursor, reader, |_| true)
+    }
+
+    /// [`SyncHub::fetch_since`], stopping before the first fetched entry
+    /// that `admit` refuses: the cursor then points at that entry, so the
+    /// next fetch resumes there. A transport with a size cap bounds its
+    /// replies this way.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`SyncHub::fetch_since`].
+    pub fn fetch_since_while(
+        &self,
+        cursor: &mut u64,
+        reader: usize,
+        mut admit: impl FnMut(&[u8]) -> bool,
+    ) -> Result<Vec<Arc<[u8]>>, CursorError> {
         let state = self.corpus.lock().expect("corpus mutex poisoned");
         let published = state.entries.len() as u64;
         if *cursor > published {
@@ -128,11 +145,17 @@ impl SyncHub {
                 published,
             });
         }
-        let fresh = state.entries[*cursor as usize..]
-            .iter()
-            .filter(|e| e.publisher != reader)
-            .map(|e| Arc::clone(&e.input))
-            .collect();
+        let mut fresh = Vec::new();
+        for (at, entry) in (*cursor..).zip(&state.entries[*cursor as usize..]) {
+            if entry.publisher == reader {
+                continue;
+            }
+            if !admit(&entry.input) {
+                *cursor = at;
+                return Ok(fresh);
+            }
+            fresh.push(Arc::clone(&entry.input));
+        }
         *cursor = published;
         Ok(fresh)
     }
@@ -171,6 +194,30 @@ mod tests {
         assert_eq!(fetched.len(), 1);
         assert_eq!(hub.published_count(), 3);
         assert_eq!(cursor, 3);
+    }
+
+    #[test]
+    fn refused_entry_is_left_for_the_next_fetch() {
+        let hub = SyncHub::new();
+        hub.publish(0, vec![vec![1]]);
+        hub.publish(1, vec![vec![2]]);
+        hub.publish(0, vec![vec![3], vec![4]]);
+        let mut cursor = 0u64;
+        // Refuse the second foreign entry: the cursor stops on it.
+        let mut admitted = 0;
+        let fetched = hub
+            .fetch_since_while(&mut cursor, 1, |_| {
+                admitted += 1;
+                admitted < 2
+            })
+            .unwrap();
+        assert_eq!(fetched.len(), 1);
+        assert_eq!(&*fetched[0], &[1][..]);
+        assert_eq!(cursor, 2, "stops on the refused entry, past own ones");
+        let rest = hub.fetch_since(&mut cursor, 1).unwrap();
+        assert_eq!(rest.len(), 2);
+        assert_eq!(&*rest[0], &[3][..]);
+        assert_eq!(cursor, 4);
     }
 
     #[test]

@@ -127,7 +127,7 @@ pub enum TelemetryEvent {
     /// exec counter) for the full deadline and was killed for restart.
     HeartbeatMiss,
     /// Executions dispatched through the compiled bytecode engine
-    /// (`BIGMAP_INTERP=compiled|auto`), whether cold, resumed or
+    /// (`BIGMAP_INTERP=auto`), whether cold, resumed or
     /// replayed. Zero in tree mode.
     CompiledExec,
     /// Executions served wholly or partially from the scheduled parent's
@@ -201,43 +201,7 @@ impl TelemetryEvent {
 
     #[inline]
     fn slot(self) -> usize {
-        match self {
-            TelemetryEvent::MapReset => 0,
-            TelemetryEvent::ClassifyPass => 1,
-            TelemetryEvent::VirginCompare => 2,
-            TelemetryEvent::QueueCycle => 3,
-            TelemetryEvent::SyncPublish => 4,
-            TelemetryEvent::SyncImport => 5,
-            TelemetryEvent::ImportRejection => 6,
-            TelemetryEvent::Exec => 7,
-            TelemetryEvent::MapUpdate => 8,
-            TelemetryEvent::NewCoverage => 9,
-            TelemetryEvent::Crash => 10,
-            TelemetryEvent::Hang => 11,
-            TelemetryEvent::HangBudgetExceeded => 12,
-            TelemetryEvent::Checkpoint => 13,
-            TelemetryEvent::KernelSelect => 14,
-            TelemetryEvent::KernelScalarOp => 15,
-            TelemetryEvent::KernelSse2Op => 16,
-            TelemetryEvent::KernelAvx2Op => 17,
-            TelemetryEvent::SparseDispatch => 18,
-            TelemetryEvent::DenseDispatch => 19,
-            TelemetryEvent::JournalOverflow => 20,
-            TelemetryEvent::FastPathExec => 21,
-            TelemetryEvent::RetraceExec => 22,
-            TelemetryEvent::CheckpointFallback => 23,
-            TelemetryEvent::QuarantinedEntry => 24,
-            TelemetryEvent::HeartbeatMiss => 25,
-            TelemetryEvent::CompiledExec => 26,
-            TelemetryEvent::SnapshotHit => 27,
-            TelemetryEvent::SnapshotMiss => 28,
-            TelemetryEvent::AllocExplicitHuge => 29,
-            TelemetryEvent::AllocThp => 30,
-            TelemetryEvent::AllocPlain => 31,
-            TelemetryEvent::AllocFallback => 32,
-            TelemetryEvent::NumaPin => 33,
-            TelemetryEvent::NumaPinFail => 34,
-        }
+        self as usize
     }
 
     /// The JSON field name of this event's counter.
@@ -321,12 +285,7 @@ impl Stage {
 
     #[inline]
     fn slot(self) -> usize {
-        match self {
-            Stage::Deterministic => 0,
-            Stage::Havoc => 1,
-            Stage::MapOps => 2,
-            Stage::TargetExec => 3,
-        }
+        self as usize
     }
 
     /// The JSON field name of this stage's nanosecond accumulator.
@@ -893,6 +852,55 @@ mod tests {
         let back = TelemetrySnapshot::from_json(&line).expect("roundtrip");
         assert_eq!(back, snap);
     }
+
+    #[test]
+    fn slots_follow_all() {
+        for (i, event) in TelemetryEvent::ALL.into_iter().enumerate() {
+            assert_eq!(event as usize, i, "{event:?}");
+        }
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(stage as usize, i, "{stage:?}");
+        }
+    }
+
+    #[test]
+    fn snapshot_json_line_is_byte_stable() {
+        // Pins the whole JSONL schema: field order, key spelling and the
+        // event ↔ counter mapping. Each counter holds a distinct value
+        // (its position in `ALL`, plus one) so any slot mix-up shows.
+        let t = Telemetry::new(7);
+        for (i, event) in TelemetryEvent::ALL.into_iter().enumerate() {
+            t.add(event, i as u64 + 1);
+        }
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            t.add_stage(stage, Duration::from_nanos(i as u64 + 100));
+        }
+        let snap = TelemetrySnapshot {
+            node: 3,
+            wall_nanos: 123_456_789,
+            ..t.snapshot()
+        };
+        assert_eq!(snap.to_json(), GOLDEN_LINE);
+    }
+
+    /// A snapshot line written by the format as of its last change; new
+    /// code must reproduce it byte for byte.
+    const GOLDEN_LINE: &str = concat!(
+        "{\"instance\":7,\"node\":3,\"wall_nanos\":123456789,\"map_resets\":1,",
+        "\"classify_passes\":2,\"virgin_compares\":3,\"queue_cycles\":4,",
+        "\"sync_publishes\":5,\"sync_imports\":6,\"import_rejections\":7,\"execs\":8,",
+        "\"map_updates\":9,\"new_coverage\":10,\"crashes\":11,\"hangs\":12,",
+        "\"hang_budget_exceeded\":13,\"checkpoints\":14,\"kernel_selections\":15,",
+        "\"kernel_scalar_ops\":16,\"kernel_sse2_ops\":17,\"kernel_avx2_ops\":18,",
+        "\"sparse_dispatches\":19,\"dense_dispatches\":20,\"journal_overflows\":21,",
+        "\"fast_path_execs\":22,\"retrace_execs\":23,\"checkpoint_fallbacks\":24,",
+        "\"quarantined_entries\":25,\"heartbeat_misses\":26,\"compiled_execs\":27,",
+        "\"snapshot_hits\":28,\"snapshot_misses\":29,\"alloc_explicit_huge\":30,",
+        "\"alloc_thp\":31,\"alloc_plain\":32,\"alloc_fallbacks\":33,\"numa_pins\":34,",
+        "\"numa_pin_fails\":35,\"stage_deterministic_nanos\":100,",
+        "\"stage_havoc_nanos\":101,\"stage_map_ops_nanos\":102,",
+        "\"stage_target_exec_nanos\":103}",
+    );
 
     #[test]
     fn kernel_events_map_one_to_one() {
