@@ -10,8 +10,7 @@
 //! `fast_path_execs` / `retrace_execs` telemetry counters.
 //!
 //! The comparison is throughput-only by construction: the coverage
-//! trajectory itself is mode-invariant (see `tests/kernel_trajectory.rs`
-//! and the CI trace-mode equivalence job).
+//! trajectory itself is mode-invariant (see `tests/kernel_trajectory.rs`).
 
 use std::sync::Arc;
 
@@ -104,9 +103,9 @@ fn main() {
         "Two-speed execution — always-trace vs selective tracing throughput",
         effort,
         "speedup = selective / always execs/sec on the same arm; fast% and \
-         retrace% partition selective-mode execs (their sum is 100% by the \
-         telemetry invariant); per-arm budget is 4x the header figure so \
-         selective runs get past the oracle warm-up",
+         retrace% are shares of selective-mode execs (the rest ran \
+         traced-direct in the re-trace-window fallback); per-arm budget is \
+         4x the header figure so selective runs get past the oracle warm-up",
     );
 
     let runs = if effort == Effort::Quick { 1 } else { 2 };
@@ -139,8 +138,6 @@ fn main() {
         "speedup",
         "fast%",
         "retrace%",
-        "auto e/s",
-        "auto spd",
     ]);
     let mut heavy_speedups = Vec::new();
     let mut twolevel_speedups = Vec::new();
@@ -152,26 +149,19 @@ fn main() {
             let budget_each = arm_budget(effort);
             let always = run_mode(&prepared, scheme, TraceMode::Always, runs, budget_each);
             let selective = run_mode(&prepared, scheme, TraceMode::Selective, runs, budget_each);
-            let auto = run_mode(&prepared, scheme, TraceMode::Auto, runs, budget_each);
             assert_eq!(
                 always.fast + always.retraced,
                 0,
                 "always-trace arms must never touch the fast path"
             );
-            assert_eq!(
-                selective.fast + selective.retraced,
-                selective.execs,
-                "selective execs must partition into fast-path + re-traced"
-            );
             assert!(
-                auto.fast + auto.retraced <= auto.execs,
-                "auto-mode direct-run execs carry neither counter"
+                selective.fast + selective.retraced <= selective.execs,
+                "direct-run execs in the fallback window carry neither counter"
             );
             let speedup = selective.throughput / always.throughput.max(1e-9);
-            let auto_speedup = auto.throughput / always.throughput.max(1e-9);
             match (cheap_target, flat_arm) {
                 (true, true) => heavy_speedups.push(speedup),
-                (true, false) => twolevel_speedups.push((speedup, auto_speedup)),
+                (true, false) => twolevel_speedups.push(speedup),
                 (false, _) => control_speedups.push(speedup),
             }
             let pct = |n: u64| 100.0 * n as f64 / selective.execs.max(1) as f64;
@@ -183,8 +173,6 @@ fn main() {
                 format!("{speedup:.2}x"),
                 format!("{:.1}", pct(selective.fast)),
                 format!("{:.1}", pct(selective.retraced)),
-                format!("{:.0}", auto.throughput),
-                format!("{auto_speedup:.2}x"),
             ]);
         }
         eprintln!("  done: {}", spec.name);
@@ -192,16 +180,13 @@ fn main() {
     println!("{table}");
 
     let heavy = geometric_mean(&heavy_speedups);
-    let tl_selective: Vec<f64> = twolevel_speedups.iter().map(|&(s, _)| s).collect();
-    let tl_auto: Vec<f64> = twolevel_speedups.iter().map(|&(_, a)| a).collect();
     let control = geometric_mean(&control_speedups);
     println!("trace-heavy (cheap targets, Flat@2M/8M) geomean speedup: {heavy:.2}x (acceptance target: >=2x)");
     println!(
-        "two-level@8M geomean: selective {:.2}x, auto {:.2}x (map ops already \
-         condensed, so forced-selective can lose to the re-execution cost; \
-         auto's retrace-rate fallback is what bounds that regression)",
-        geometric_mean(&tl_selective),
-        geometric_mean(&tl_auto),
+        "two-level@8M geomean: selective {:.2}x (map ops already condensed, so \
+         the fast pass can lose to the re-execution cost; the retrace-rate \
+         fallback is what bounds that regression)",
+        geometric_mean(&twolevel_speedups),
     );
     println!(
         "exec-heavy control (sqlite3) geomean speedup: {control:.2}x \

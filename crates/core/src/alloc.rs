@@ -12,12 +12,19 @@
 //!   host, unsupported kernel), so the allocator falls back to the THP path
 //!   and records the fallback — never an error.
 //! * **`thp`** (default) — `alloc_zeroed` aligned to the huge-page size
-//!   plus a best-effort `madvise(MADV_HUGEPAGE)`, the PR-1 behaviour.
+//!   plus a best-effort `madvise(MADV_HUGEPAGE)`. The advice comes too
+//!   late to matter on most hosts: std zero-fills over-aligned layouts
+//!   itself, so every page is already faulted in on 4 KiB pages before
+//!   `madvise` runs (a 64 MiB buffer shows +64 MiB RSS and 0 kB
+//!   `AnonHugePages` on a `transparent_hugepage=madvise` host). `thp`
+//!   therefore means *advised*, not *served*; advising before the first
+//!   touch is a separate change that needs its own end-to-end
+//!   measurement.
 //! * **`off`** — plain pages, with `madvise(MADV_NOHUGEPAGE)` so even a
 //!   `transparent_hugepage=always` host does not promote the range. The
 //!   control arm for benchmarking.
 //!
-//! Which backend actually served each buffer is recorded per buffer
+//! Which backend each buffer went through is recorded per buffer
 //! ([`MapBuffer::backend`]) and in process-wide counters
 //! ([`backend_allocs`], [`huge_fallbacks`]) that the fuzzer's telemetry
 //! layer surfaces.
@@ -140,15 +147,19 @@ pub fn parse_numa(raw: Option<&str>) -> NumaPolicy {
     NumaPolicy::default()
 }
 
-/// The backend that actually served an allocation — what the telemetry
-/// layer reports per buffer.
+/// The backend an allocation went through — what the telemetry layer
+/// reports per buffer. The explicit variants are served pages; [`Thp`]
+/// records only that the range was advised (see the module docs).
+///
+/// [`Thp`]: AllocBackend::Thp
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocBackend {
     /// `mmap(MAP_HUGETLB | MAP_HUGE_1GB)` gigantic pages.
     ExplicitGigantic,
     /// `mmap(MAP_HUGETLB)` 2 MiB hugetlb pages.
     ExplicitHuge,
-    /// Heap allocation advised into transparent huge pages.
+    /// Heap allocation advised into transparent huge pages (advice only:
+    /// the pages may already be faulted in on 4 KiB pages).
     Thp,
     /// Heap allocation on plain pages (small buffer, `off` policy, or a
     /// host without huge-page support).
@@ -590,7 +601,7 @@ impl<T: MapElement> MapBuffer<T> {
         buf
     }
 
-    /// The backend that actually served this buffer.
+    /// The backend this buffer went through.
     #[inline]
     pub fn backend(&self) -> AllocBackend {
         self.backend

@@ -70,12 +70,12 @@ pub const KNOBS: &[Knob] = &[
     },
     Knob {
         name: "BIGMAP_TRACE_MODE",
-        values: "`always` \\| `selective` \\| `auto`",
+        values: "`always` \\| `selective`",
         default: "`always`",
         description: "Two-speed execution: `always` traces every exec into the coverage map, \
                       `selective` runs untraced fast execs and re-traces only novelty-oracle \
-                      flagged ones, `auto` adds a fallback to direct tracing in re-trace-heavy \
-                      windows. All modes produce bit-identical campaign trajectories.",
+                      flagged ones, falling back to direct tracing in re-trace-heavy windows. \
+                      Both modes produce bit-identical campaign trajectories.",
     },
     Knob {
         name: "BIGMAP_INTERP",

@@ -1,13 +1,13 @@
 //! Trace-mode selection for two-speed execution.
 //!
 //! The campaign can run every test case with full coverage tracing
-//! (`always`), run untraced fast execs and re-trace only the ones the
-//! novelty oracle flags (`selective`), or let the campaign fall back to
-//! direct tracing in windows where selective tracing is re-tracing
-//! almost everything anyway (`auto`). The mode is a pure dispatch
-//! choice: selective tracing is coverage-preserving by construction
-//! (the oracle is strictly conservative), so all three modes produce
-//! bit-identical campaign trajectories.
+//! (`always`), or run untraced fast execs and re-trace only the ones the
+//! novelty oracle flags (`selective`), falling back to direct tracing in
+//! windows where the fast pass is re-tracing almost everything anyway.
+//! The mode is a pure dispatch choice: selective tracing is
+//! coverage-preserving by construction (the oracle is strictly
+//! conservative), so both modes produce bit-identical campaign
+//! trajectories.
 
 /// Which execution speed(s) the campaign uses per test case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -17,20 +17,17 @@ pub enum TraceMode {
     #[default]
     Always,
     /// Execs run untraced first; only oracle-flagged ones re-run traced.
+    /// A deterministic windowed fallback traces directly while recent
+    /// re-trace rates make the fast pass pure overhead.
     Selective,
-    /// Selective, with a deterministic windowed fallback to direct
-    /// tracing when recent re-trace rates make the fast pass pure
-    /// overhead.
-    Auto,
 }
 
 impl TraceMode {
-    /// The canonical lowercase label (`always` / `selective` / `auto`).
+    /// The canonical lowercase label (`always` / `selective`).
     pub fn label(self) -> &'static str {
         match self {
             TraceMode::Always => "always",
             TraceMode::Selective => "selective",
-            TraceMode::Auto => "auto",
         }
     }
 
@@ -39,13 +36,12 @@ impl TraceMode {
         match label.to_ascii_lowercase().as_str() {
             "always" => Some(TraceMode::Always),
             "selective" => Some(TraceMode::Selective),
-            "auto" => Some(TraceMode::Auto),
             _ => None,
         }
     }
 
     /// All modes, for exhaustive tests and equivalence sweeps.
-    pub const ALL: [TraceMode; 3] = [TraceMode::Always, TraceMode::Selective, TraceMode::Auto];
+    pub const ALL: [TraceMode; 2] = [TraceMode::Always, TraceMode::Selective];
 }
 
 /// Resolves the trace mode from an env override (the raw value of
@@ -58,7 +54,7 @@ pub fn select_trace_mode(env_override: Option<&str>) -> TraceMode {
             Some(mode) => mode,
             None => {
                 eprintln!(
-                    "BIGMAP_TRACE_MODE={raw}: unknown mode (expected always|selective|auto), \
+                    "BIGMAP_TRACE_MODE={raw}: unknown mode (expected always|selective), \
                      using always"
                 );
                 TraceMode::default()
@@ -87,7 +83,8 @@ mod tests {
     fn select_falls_back_to_always() {
         assert_eq!(select_trace_mode(None), TraceMode::Always);
         assert_eq!(select_trace_mode(Some("selective")), TraceMode::Selective);
-        assert_eq!(select_trace_mode(Some(" Auto ")), TraceMode::Auto);
+        assert_eq!(select_trace_mode(Some(" Selective ")), TraceMode::Selective);
+        assert_eq!(select_trace_mode(Some("auto")), TraceMode::Always);
         assert_eq!(select_trace_mode(Some("bogus")), TraceMode::Always);
     }
 

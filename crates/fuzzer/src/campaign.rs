@@ -457,26 +457,26 @@ pub struct Campaign<'p> {
     /// The novelty oracle behind selective tracing; `Some` whenever
     /// `trace_mode` is not [`TraceMode::Always`].
     oracle: Option<NoveltyOracle>,
-    /// Auto-mode window state: fast-pass decisions and re-traces observed
-    /// in the current window. Deliberately *not* checkpointed — skip
-    /// decisions are trajectory-neutral, so resetting the window on
+    /// Selective-mode window state: fast-pass decisions and re-traces
+    /// observed in the current window. Deliberately *not* checkpointed —
+    /// skip decisions are trajectory-neutral, so resetting the window on
     /// resume changes throughput, never results.
-    auto_tries: u32,
-    auto_retraces: u32,
-    /// Auto-mode fallback: remaining test cases to run traced-direct
+    window_tries: u32,
+    window_retraces: u32,
+    /// Selective-mode fallback: remaining test cases to run traced-direct
     /// (no fast pass) after a re-trace-heavy window.
-    auto_direct_left: u32,
+    direct_left: u32,
 }
 
-/// Auto-mode window length (fast-pass decisions per assessment).
-const AUTO_WINDOW: u32 = 128;
-/// Auto-mode fallback trigger: re-traces ≥ 3/4 of a window means the fast
-/// pass is mostly overhead right now.
-const AUTO_RETRACE_NUM: u32 = 3;
-const AUTO_RETRACE_DEN: u32 = 4;
-/// Auto-mode fallback length: traced-direct test cases before the fast
-/// pass is retried.
-const AUTO_DIRECT_RUN: u32 = 512;
+/// Fallback window length (fast-pass decisions per assessment).
+const RETRACE_WINDOW: u32 = 128;
+/// Fallback trigger: re-traces ≥ 3/4 of a window means the fast pass is
+/// mostly overhead right now.
+const RETRACE_NUM: u32 = 3;
+const RETRACE_DEN: u32 = 4;
+/// Fallback length: traced-direct test cases before the fast pass is
+/// retried.
+const DIRECT_RUN: u32 = 512;
 
 impl std::fmt::Debug for Campaign<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -550,9 +550,9 @@ impl<'p> Campaign<'p> {
             restoring: false,
             trace_mode,
             oracle,
-            auto_tries: 0,
-            auto_retraces: 0,
-            auto_direct_left: 0,
+            window_tries: 0,
+            window_retraces: 0,
+            direct_left: 0,
             config,
         }
     }
@@ -688,38 +688,35 @@ impl<'p> Campaign<'p> {
         &self.queue
     }
 
-    /// Whether the next test case gets an untraced fast pass. In auto
-    /// mode this also advances the traced-direct fallback window, so it
-    /// must be called exactly once per test case.
+    /// Whether the next test case gets an untraced fast pass. This also
+    /// advances the traced-direct fallback window, so it must be called
+    /// exactly once per test case.
     fn fast_pass_active(&mut self) -> bool {
         if self.oracle.is_none() {
             return false;
         }
-        if self.trace_mode == TraceMode::Auto && self.auto_direct_left > 0 {
-            self.auto_direct_left -= 1;
+        if self.direct_left > 0 {
+            self.direct_left -= 1;
             return false;
         }
         true
     }
 
-    /// Feeds one fast-pass decision into the auto-mode window; when a
-    /// window closes with ≥ 3/4 re-traces, the next `AUTO_DIRECT_RUN`
-    /// test cases skip the fast pass entirely. Deterministic: the window
+    /// Feeds one fast-pass decision into the fallback window; when a
+    /// window closes with ≥ 3/4 re-traces, the next `DIRECT_RUN` test
+    /// cases skip the fast pass entirely. Deterministic: the window
     /// advances on exec counts, never on wall time.
-    fn note_auto_decision(&mut self, retraced: bool) {
-        if self.trace_mode != TraceMode::Auto {
-            return;
-        }
-        self.auto_tries += 1;
+    fn note_fast_pass_decision(&mut self, retraced: bool) {
+        self.window_tries += 1;
         if retraced {
-            self.auto_retraces += 1;
+            self.window_retraces += 1;
         }
-        if self.auto_tries >= AUTO_WINDOW {
-            if self.auto_retraces * AUTO_RETRACE_DEN >= self.auto_tries * AUTO_RETRACE_NUM {
-                self.auto_direct_left = AUTO_DIRECT_RUN;
+        if self.window_tries >= RETRACE_WINDOW {
+            if self.window_retraces * RETRACE_DEN >= self.window_tries * RETRACE_NUM {
+                self.direct_left = DIRECT_RUN;
             }
-            self.auto_tries = 0;
-            self.auto_retraces = 0;
+            self.window_tries = 0;
+            self.window_retraces = 0;
         }
     }
 
@@ -761,7 +758,7 @@ impl<'p> Campaign<'p> {
             // though the underlying trace is a known-clean path.
             let effective_ok = fast.outcome.is_ok() && !inject_crash && !inject_hang;
             let skip = effective_ok && fast.provably_seen && !force_admit && !self.restoring;
-            self.note_auto_decision(!skip);
+            self.note_fast_pass_decision(!skip);
             if skip {
                 self.ops.add(OpKind::Execution, fast.exec_time);
                 self.stats_execs += 1;
@@ -1293,7 +1290,13 @@ impl<'p> Campaign<'p> {
         // Warm the crash/hang virgin maps so post-resume novelty verdicts
         // match the checkpointed campaign's. Admission is suppressed (see
         // execute_and_judge), so fault-injected crash inputs that run
-        // clean cannot mint queue entries here.
+        // clean cannot mint queue entries here. The warm-up runs under
+        // the checkpointed hang budget: hang inputs were found under it,
+        // and without it they would run to completion as Ok execs, mark
+        // their paths in the Ok virgin map and leave the hang map cold.
+        // (Queue entries replay before it: seeds were admitted before
+        // calibration and may not fit the budget.)
+        self.executor.set_step_budget(checkpoint.hang_budget);
         self.admit_depth = 0;
         for input in checkpoint
             .crashes
@@ -1321,7 +1324,6 @@ impl<'p> Campaign<'p> {
         self.discovered_running = checkpoint.discovered_running;
         self.rng = SmallRng::from_state(checkpoint.rng);
         self.mutator.set_rng_state(checkpoint.mutator_rng);
-        self.executor.set_step_budget(checkpoint.hang_budget);
         self.crashwalk = CrashWalk::restore(
             &checkpoint
                 .crashes
@@ -1757,228 +1759,6 @@ mod tests {
         );
         let active = TelemetryEvent::for_kernel(bigmap_core::kernels::active().kind);
         assert_eq!(snap.get(active), 2 * dense);
-    }
-
-    #[test]
-    fn sparse_override_forces_journal_dispatch_and_matches_dense() {
-        use crate::telemetry::{Telemetry, TelemetryEvent};
-
-        let program = GeneratorConfig::default().generate();
-        let inst = instrument(&program, MapSize::K64);
-        let interp = Interpreter::new(&program);
-        let run = |mode: Option<SparseMode>| {
-            let mut campaign = Campaign::new(
-                CampaignConfig {
-                    sparse: mode,
-                    ..quick_config(MapScheme::TwoLevel, 600)
-                },
-                &interp,
-                &inst,
-            );
-            let tel = Arc::new(Telemetry::new(0));
-            campaign.set_telemetry(Arc::clone(&tel));
-            campaign.add_seeds(vec![vec![5u8; 24]]);
-            (campaign.run(), tel)
-        };
-        let (on, on_tel) = run(Some(SparseMode::On));
-        let (off, off_tel) = run(Some(SparseMode::Off));
-        // Forced modes dispatch every exec to their path (the default
-        // journal capacity never overflows on these targets)...
-        assert_eq!(on_tel.get(TelemetryEvent::SparseDispatch), on.execs);
-        assert_eq!(on_tel.get(TelemetryEvent::DenseDispatch), 0);
-        assert_eq!(off_tel.get(TelemetryEvent::DenseDispatch), off.execs);
-        assert_eq!(off_tel.get(TelemetryEvent::SparseDispatch), 0);
-        // ...and the campaign trajectory must be bit-identical either way.
-        assert_eq!(on.execs, off.execs);
-        assert_eq!(on.queue_len, off.queue_len);
-        assert_eq!(on.used_len, off.used_len);
-        assert_eq!(
-            on.timeline.points(),
-            off.timeline.points(),
-            "sparse pipeline changed the coverage trajectory"
-        );
-    }
-
-    #[test]
-    fn trace_modes_share_one_bit_identical_trajectory() {
-        use crate::telemetry::{Telemetry, TelemetryEvent};
-
-        let program = GeneratorConfig::default().generate();
-        let inst = instrument(&program, MapSize::K64);
-        let interp = Interpreter::new(&program);
-        let run = |mode: TraceMode| {
-            let mut campaign = Campaign::new(
-                CampaignConfig {
-                    trace: Some(mode),
-                    ..quick_config(MapScheme::TwoLevel, 3_000)
-                },
-                &interp,
-                &inst,
-            );
-            let tel = Arc::new(Telemetry::new(0));
-            campaign.set_telemetry(Arc::clone(&tel));
-            campaign.add_seeds(vec![vec![5u8; 24]]);
-            (campaign.run(), tel)
-        };
-        let (always, always_tel) = run(TraceMode::Always);
-        for mode in [TraceMode::Selective, TraceMode::Auto] {
-            let (stats, tel) = run(mode);
-            // The whole campaign trajectory must be bit-identical to the
-            // always-traced run: selective tracing may only change *how*
-            // coverage is observed, never what the campaign does with it.
-            assert_eq!(stats.execs, always.execs, "{mode:?}");
-            assert_eq!(stats.queue_len, always.queue_len, "{mode:?}");
-            assert_eq!(stats.used_len, always.used_len, "{mode:?}");
-            assert_eq!(stats.discovered_slots, always.discovered_slots, "{mode:?}");
-            assert_eq!(stats.total_crashes, always.total_crashes, "{mode:?}");
-            assert_eq!(stats.unique_crashes, always.unique_crashes, "{mode:?}");
-            assert_eq!(stats.hangs, always.hangs, "{mode:?}");
-            assert_eq!(
-                stats.timeline.points(),
-                always.timeline.points(),
-                "{mode:?} changed the coverage trajectory"
-            );
-            // The fast path must actually fire (most mutants replay known
-            // paths), and every exec is either skipped or re-traced or —
-            // in auto mode — run traced-direct.
-            let fast = tel.get(TelemetryEvent::FastPathExec);
-            let retraced = tel.get(TelemetryEvent::RetraceExec);
-            assert!(fast > 0, "{mode:?}: fast path never skipped anything");
-            if mode == TraceMode::Selective {
-                assert_eq!(fast + retraced, tel.get(TelemetryEvent::Exec));
-            } else {
-                assert!(fast + retraced <= tel.get(TelemetryEvent::Exec));
-            }
-        }
-        assert_eq!(always_tel.get(TelemetryEvent::FastPathExec), 0);
-        assert_eq!(always_tel.get(TelemetryEvent::RetraceExec), 0);
-    }
-
-    #[test]
-    fn interp_modes_share_one_bit_identical_trajectory() {
-        use crate::telemetry::{Telemetry, TelemetryEvent};
-
-        let program = GeneratorConfig::default().generate();
-        let inst = instrument(&program, MapSize::K64);
-        let interp = Interpreter::new(&program);
-        let run = |mode: InterpMode| {
-            let mut campaign = Campaign::new(
-                CampaignConfig {
-                    interp: Some(mode),
-                    ..quick_config(MapScheme::TwoLevel, 3_000)
-                },
-                &interp,
-                &inst,
-            );
-            assert_eq!(campaign.interp_mode(), mode);
-            let tel = Arc::new(Telemetry::new(0));
-            campaign.set_telemetry(Arc::clone(&tel));
-            campaign.add_seeds(vec![vec![5u8; 24]]);
-            (campaign.run(), tel)
-        };
-        let (tree, tree_tel) = run(InterpMode::Tree);
-        let (stats, tel) = run(InterpMode::Auto);
-        // The engine is pure dispatch: the whole campaign trajectory must
-        // be bit-identical to the tree walker's.
-        assert_eq!(stats.execs, tree.execs);
-        assert_eq!(stats.queue_len, tree.queue_len);
-        assert_eq!(stats.used_len, tree.used_len);
-        assert_eq!(stats.discovered_slots, tree.discovered_slots);
-        assert_eq!(stats.total_crashes, tree.total_crashes);
-        assert_eq!(stats.unique_crashes, tree.unique_crashes);
-        assert_eq!(stats.hangs, tree.hangs);
-        assert_eq!(
-            stats.timeline.points(),
-            tree.timeline.points(),
-            "auto changed the coverage trajectory"
-        );
-        // Non-vacuousness: the compiled engine actually served execs.
-        assert_eq!(
-            tel.get(TelemetryEvent::CompiledExec),
-            tel.get(TelemetryEvent::Exec),
-            "every exec should be compiled"
-        );
-        assert!(
-            tel.get(TelemetryEvent::SnapshotHit) > 0,
-            "auto mode never reused a parent snapshot"
-        );
-        assert_eq!(tree_tel.get(TelemetryEvent::CompiledExec), 0);
-        assert_eq!(tree_tel.get(TelemetryEvent::SnapshotHit), 0);
-    }
-
-    #[test]
-    fn selective_resume_restores_oracle_state() {
-        use crate::telemetry::{Telemetry, TelemetryEvent};
-
-        let program = GeneratorConfig::default().generate();
-        let inst = instrument(&program, MapSize::K64);
-        let interp = Interpreter::new(&program);
-        let config = CampaignConfig {
-            trace: Some(TraceMode::Selective),
-            ..quick_config(MapScheme::TwoLevel, 2_000)
-        };
-
-        // An always-trace campaign has no oracle to checkpoint.
-        let mut plain = Campaign::new(
-            CampaignConfig {
-                trace: Some(TraceMode::Always),
-                ..config.clone()
-            },
-            &interp,
-            &inst,
-        );
-        plain.add_seeds(vec![vec![5u8; 24]]);
-        assert_eq!(plain.checkpoint().oracle, None);
-
-        // Interrupted run: snapshot at ~1 000 execs, resume in a fresh
-        // campaign, finish the budget there.
-        let mut first = Campaign::new(config.clone(), &interp, &inst);
-        first.add_seeds(vec![vec![5u8; 24]]);
-        let mut ckpt = None;
-        first.run_with_hook(250, |c| {
-            if c.execs() >= 1_000 && ckpt.is_none() {
-                ckpt = Some(c.checkpoint());
-            }
-        });
-        let ckpt = ckpt.expect("hook must fire before the budget runs out");
-        assert!(
-            ckpt.oracle.as_ref().is_some_and(|o| !o.paths.is_empty()),
-            "a selective campaign's checkpoint must carry oracle state"
-        );
-        // The text codec round-trips it (what CheckpointManager persists).
-        let ckpt = Checkpoint::from_text(&ckpt.to_text()).unwrap();
-
-        let mut resumed = Campaign::new(config, &interp, &inst);
-        let tel = Arc::new(Telemetry::new(0));
-        resumed.set_telemetry(Arc::clone(&tel));
-        resumed.restore(&ckpt);
-
-        // Every checkpointed path hash survived the install (the restored
-        // oracle may hold more — the replay commits too, never less).
-        let reinstalled = resumed
-            .checkpoint()
-            .oracle
-            .expect("oracle state must survive restore");
-        let persisted = ckpt.oracle.as_ref().unwrap();
-        assert!(
-            persisted
-                .paths
-                .iter()
-                .all(|p| reinstalled.paths.binary_search(p).is_ok()),
-            "restore dropped committed path hashes"
-        );
-        assert_eq!(reinstalled.buckets.len(), persisted.buckets.len());
-
-        // The resumed campaign finishes its budget with the fast path hot
-        // (replay itself stays out of telemetry, so every skip counted
-        // here happened after the resume).
-        let stats = resumed.run();
-        assert_eq!(stats.execs, 2_000);
-        assert!(stats.queue_len >= ckpt.queue.len());
-        assert!(
-            tel.get(TelemetryEvent::FastPathExec) > 0,
-            "resumed campaign never skipped: oracle state was lost"
-        );
     }
 
     #[test]

@@ -53,198 +53,149 @@ use bigmap_core::{EventCounter, StageNanos};
 
 use crate::timeline::TimelinePoint;
 
-/// The countable events of the campaign pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TelemetryEvent {
-    /// Coverage-map resets (one per test case).
-    MapReset,
-    /// Standalone classify passes (split pipeline only; the merged
-    /// pipeline accounts its single pass as a virgin compare).
-    ClassifyPass,
-    /// Virgin-map scans: compare or merged classify+compare passes.
-    VirginCompare,
-    /// Seed-queue scheduling decisions (one per scheduled entry).
-    QueueCycle,
-    /// Inputs published to the fleet's sync hub.
-    SyncPublish,
-    /// Inputs fetched from the sync hub and re-executed locally.
-    SyncImport,
-    /// Fetched inputs rejected for showing no new local coverage.
-    ImportRejection,
-    /// Test cases executed.
-    Exec,
-    /// Coverage-map updates (`record` calls) performed by the target.
-    MapUpdate,
-    /// Executions whose verdict was a brand-new edge (the timeline's
-    /// coverage unit).
-    NewCoverage,
-    /// Crashing executions (non-unique).
-    Crash,
-    /// Hanging executions.
-    Hang,
-    /// Hangs charged to a *calibrated* step budget (subset of `Hang`):
-    /// the execution would have kept running under the configured
-    /// `max_steps` but the tighter calibrated budget cut it off.
-    HangBudgetExceeded,
-    /// Campaign checkpoints written to the output directory.
-    Checkpoint,
-    /// Kernel-dispatch resolutions: counted once per campaign when the
-    /// instance observes which map-op kernel table
-    /// (`bigmap_core::kernels::active()`) the process selected.
-    KernelSelect,
-    /// Map operations (classify/compare/fused) dispatched to the scalar
-    /// word-wise kernel.
-    KernelScalarOp,
-    /// Map operations dispatched to the SSE2 kernel.
-    KernelSse2Op,
-    /// Map operations dispatched to the AVX2 kernel.
-    KernelAvx2Op,
-    /// Executions whose post-exec map ops took the journal-driven sparse
-    /// path (`BIGMAP_SPARSE`, see `bigmap_core::sparse`).
-    SparseDispatch,
-    /// Executions whose post-exec map ops took the dense kernel path.
-    DenseDispatch,
-    /// Executions whose touch journal overflowed its capacity, forcing
-    /// the dense fallback regardless of the dispatch policy.
-    JournalOverflow,
-    /// Untraced fast-path executions whose novelty oracle proved them
-    /// already-seen, so the traced re-execution was skipped entirely
-    /// (`BIGMAP_TRACE_MODE=selective|auto`). Disjoint from `RetraceExec`;
-    /// together they partition the fast-pass attempts.
-    FastPathExec,
-    /// Fast-path executions the oracle flagged as suspicious (or that
-    /// crashed/hanged), forcing a full traced re-execution.
-    RetraceExec,
-    /// Checkpoint restores that skipped one or more corrupt generations
-    /// and fell back to an older intact one (counted per generation
-    /// skipped).
-    CheckpointFallback,
-    /// Corpus entries found unreadable or truncated on load and moved to
-    /// the output directory's `quarantine/` instead of aborting.
-    QuarantinedEntry,
-    /// Liveness-deadline expirations observed by the fleet parent: a
-    /// worker made no progress (no frames, or heartbeats with a frozen
-    /// exec counter) for the full deadline and was killed for restart.
-    HeartbeatMiss,
-    /// Executions dispatched through the compiled bytecode engine
-    /// (`BIGMAP_INTERP=auto`), whether cold, resumed or
-    /// replayed. Zero in tree mode.
-    CompiledExec,
-    /// Executions served wholly or partially from the scheduled parent's
-    /// snapshot recording (a full trace replay or a mid-run resume).
-    SnapshotHit,
-    /// Executions that had a parent snapshot armed but could not reuse it
-    /// (mutation hit the first read, budget mismatch, or an overflowed
-    /// recording) and re-executed from scratch.
-    SnapshotMiss,
-    /// Campaign instances whose coverage map was served by explicit
-    /// hugetlb pages (`BIGMAP_HUGE=explicit`, reservation succeeded).
-    AllocExplicitHuge,
-    /// Campaign instances whose coverage map went down the THP-advised
-    /// heap path (the default, or the explicit backend's fallback).
-    AllocThp,
-    /// Campaign instances whose coverage map sits on plain pages
-    /// (`BIGMAP_HUGE=off`, or a sub-huge-page map).
-    AllocPlain,
-    /// Campaign instances whose explicit-huge-page request could not be
-    /// served and fell back to THP (empty hugetlb pool, unsupported
-    /// kernel, non-Linux host).
-    AllocFallback,
-    /// Campaign instances whose worker thread was pinned to its NUMA node
-    /// (`BIGMAP_NUMA=auto|node:<n>` on a host where the pin succeeded).
-    NumaPin,
-    /// Campaign instances where NUMA placement was requested but the node
-    /// pin was refused (denied syscall, bogus node) and the instance ran
-    /// unpinned on kernel first-touch.
-    NumaPinFail,
+/// Declares a telemetry enum from one table: every variant with its JSON
+/// key, in serialization order. Generates the enum, `ALL` (that order),
+/// `slot()` (the variant's index in `ALL`) and `key()`.
+macro_rules! keyed_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident, key_doc: $key_doc:literal {
+            $( $(#[$variant_meta:meta])* $variant:ident => $key:literal, )*
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $( $(#[$variant_meta])* $variant, )*
+        }
+
+        impl $name {
+            /// Every variant, in serialization order.
+            pub const ALL: [$name; [$($key),*].len()] = [$($name::$variant),*];
+
+            #[inline]
+            fn slot(self) -> usize {
+                self as usize
+            }
+
+            #[doc = $key_doc]
+            pub fn key(self) -> &'static str {
+                match self {
+                    $( $name::$variant => $key, )*
+                }
+            }
+        }
+    };
+}
+
+keyed_enum! {
+    /// The countable events of the campaign pipeline.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum TelemetryEvent, key_doc: "The JSON field name of this event's counter." {
+        /// Coverage-map resets (one per test case).
+        MapReset => "map_resets",
+        /// Standalone classify passes (split pipeline only; the merged
+        /// pipeline accounts its single pass as a virgin compare).
+        ClassifyPass => "classify_passes",
+        /// Virgin-map scans: compare or merged classify+compare passes.
+        VirginCompare => "virgin_compares",
+        /// Seed-queue scheduling decisions (one per scheduled entry).
+        QueueCycle => "queue_cycles",
+        /// Inputs published to the fleet's sync hub.
+        SyncPublish => "sync_publishes",
+        /// Inputs fetched from the sync hub and re-executed locally.
+        SyncImport => "sync_imports",
+        /// Fetched inputs rejected for showing no new local coverage.
+        ImportRejection => "import_rejections",
+        /// Test cases executed.
+        Exec => "execs",
+        /// Coverage-map updates (`record` calls) performed by the target.
+        MapUpdate => "map_updates",
+        /// Executions whose verdict was a brand-new edge (the timeline's
+        /// coverage unit).
+        NewCoverage => "new_coverage",
+        /// Crashing executions (non-unique).
+        Crash => "crashes",
+        /// Hanging executions.
+        Hang => "hangs",
+        /// Hangs charged to a *calibrated* step budget (subset of `Hang`):
+        /// the execution would have kept running under the configured
+        /// `max_steps` but the tighter calibrated budget cut it off.
+        HangBudgetExceeded => "hang_budget_exceeded",
+        /// Campaign checkpoints written to the output directory.
+        Checkpoint => "checkpoints",
+        /// Kernel-dispatch resolutions: counted once per campaign when the
+        /// instance observes which map-op kernel table
+        /// (`bigmap_core::kernels::active()`) the process selected.
+        KernelSelect => "kernel_selections",
+        /// Map operations (classify/compare/fused) dispatched to the scalar
+        /// word-wise kernel.
+        KernelScalarOp => "kernel_scalar_ops",
+        /// Map operations dispatched to the SSE2 kernel.
+        KernelSse2Op => "kernel_sse2_ops",
+        /// Map operations dispatched to the AVX2 kernel.
+        KernelAvx2Op => "kernel_avx2_ops",
+        /// Executions whose post-exec map ops took the journal-driven sparse
+        /// path (`BIGMAP_SPARSE`, see `bigmap_core::sparse`).
+        SparseDispatch => "sparse_dispatches",
+        /// Executions whose post-exec map ops took the dense kernel path.
+        DenseDispatch => "dense_dispatches",
+        /// Executions whose touch journal overflowed its capacity, forcing
+        /// the dense fallback regardless of the dispatch policy.
+        JournalOverflow => "journal_overflows",
+        /// Untraced fast-path executions whose novelty oracle proved them
+        /// already-seen, so the traced re-execution was skipped entirely
+        /// (`BIGMAP_TRACE_MODE=selective`). Disjoint from `RetraceExec`;
+        /// together they partition the fast-pass attempts.
+        FastPathExec => "fast_path_execs",
+        /// Fast-path executions the oracle flagged as suspicious (or that
+        /// crashed/hanged), forcing a full traced re-execution.
+        RetraceExec => "retrace_execs",
+        /// Checkpoint restores that skipped one or more corrupt generations
+        /// and fell back to an older intact one (counted per generation
+        /// skipped).
+        CheckpointFallback => "checkpoint_fallbacks",
+        /// Corpus entries found unreadable or truncated on load and moved to
+        /// the output directory's `quarantine/` instead of aborting.
+        QuarantinedEntry => "quarantined_entries",
+        /// Liveness-deadline expirations observed by the fleet parent: a
+        /// worker made no progress (no frames, or heartbeats with a frozen
+        /// exec counter) for the full deadline and was killed for restart.
+        HeartbeatMiss => "heartbeat_misses",
+        /// Executions dispatched through the compiled bytecode engine
+        /// (`BIGMAP_INTERP=auto`), whether cold, resumed or
+        /// replayed. Zero in tree mode.
+        CompiledExec => "compiled_execs",
+        /// Executions served wholly or partially from the scheduled parent's
+        /// snapshot recording (a full trace replay or a mid-run resume).
+        SnapshotHit => "snapshot_hits",
+        /// Executions that had a parent snapshot armed but could not reuse it
+        /// (mutation hit the first read, budget mismatch, or an overflowed
+        /// recording) and re-executed from scratch.
+        SnapshotMiss => "snapshot_misses",
+        /// Campaign instances whose coverage map was served by explicit
+        /// hugetlb pages (`BIGMAP_HUGE=explicit`, reservation succeeded).
+        AllocExplicitHuge => "alloc_explicit_huge",
+        /// Campaign instances whose coverage map went down the THP-advised
+        /// heap path (the default, or the explicit backend's fallback).
+        AllocThp => "alloc_thp",
+        /// Campaign instances whose coverage map sits on plain pages
+        /// (`BIGMAP_HUGE=off`, or a sub-huge-page map).
+        AllocPlain => "alloc_plain",
+        /// Campaign instances whose explicit-huge-page request could not be
+        /// served and fell back to THP (empty hugetlb pool, unsupported
+        /// kernel, non-Linux host).
+        AllocFallback => "alloc_fallbacks",
+        /// Campaign instances whose worker thread was pinned to its NUMA node
+        /// (`BIGMAP_NUMA=auto|node:<n>` on a host where the pin succeeded).
+        NumaPin => "numa_pins",
+        /// Campaign instances where NUMA placement was requested but the node
+        /// pin was refused (denied syscall, bogus node) and the instance ran
+        /// unpinned on kernel first-touch.
+        NumaPinFail => "numa_pin_fails",
+    }
 }
 
 impl TelemetryEvent {
-    /// Every event, in serialization order.
-    pub const ALL: [TelemetryEvent; 35] = [
-        TelemetryEvent::MapReset,
-        TelemetryEvent::ClassifyPass,
-        TelemetryEvent::VirginCompare,
-        TelemetryEvent::QueueCycle,
-        TelemetryEvent::SyncPublish,
-        TelemetryEvent::SyncImport,
-        TelemetryEvent::ImportRejection,
-        TelemetryEvent::Exec,
-        TelemetryEvent::MapUpdate,
-        TelemetryEvent::NewCoverage,
-        TelemetryEvent::Crash,
-        TelemetryEvent::Hang,
-        TelemetryEvent::HangBudgetExceeded,
-        TelemetryEvent::Checkpoint,
-        TelemetryEvent::KernelSelect,
-        TelemetryEvent::KernelScalarOp,
-        TelemetryEvent::KernelSse2Op,
-        TelemetryEvent::KernelAvx2Op,
-        TelemetryEvent::SparseDispatch,
-        TelemetryEvent::DenseDispatch,
-        TelemetryEvent::JournalOverflow,
-        TelemetryEvent::FastPathExec,
-        TelemetryEvent::RetraceExec,
-        TelemetryEvent::CheckpointFallback,
-        TelemetryEvent::QuarantinedEntry,
-        TelemetryEvent::HeartbeatMiss,
-        TelemetryEvent::CompiledExec,
-        TelemetryEvent::SnapshotHit,
-        TelemetryEvent::SnapshotMiss,
-        TelemetryEvent::AllocExplicitHuge,
-        TelemetryEvent::AllocThp,
-        TelemetryEvent::AllocPlain,
-        TelemetryEvent::AllocFallback,
-        TelemetryEvent::NumaPin,
-        TelemetryEvent::NumaPinFail,
-    ];
-
-    #[inline]
-    fn slot(self) -> usize {
-        self as usize
-    }
-
-    /// The JSON field name of this event's counter.
-    pub fn key(self) -> &'static str {
-        match self {
-            TelemetryEvent::MapReset => "map_resets",
-            TelemetryEvent::ClassifyPass => "classify_passes",
-            TelemetryEvent::VirginCompare => "virgin_compares",
-            TelemetryEvent::QueueCycle => "queue_cycles",
-            TelemetryEvent::SyncPublish => "sync_publishes",
-            TelemetryEvent::SyncImport => "sync_imports",
-            TelemetryEvent::ImportRejection => "import_rejections",
-            TelemetryEvent::Exec => "execs",
-            TelemetryEvent::MapUpdate => "map_updates",
-            TelemetryEvent::NewCoverage => "new_coverage",
-            TelemetryEvent::Crash => "crashes",
-            TelemetryEvent::Hang => "hangs",
-            TelemetryEvent::HangBudgetExceeded => "hang_budget_exceeded",
-            TelemetryEvent::Checkpoint => "checkpoints",
-            TelemetryEvent::KernelSelect => "kernel_selections",
-            TelemetryEvent::KernelScalarOp => "kernel_scalar_ops",
-            TelemetryEvent::KernelSse2Op => "kernel_sse2_ops",
-            TelemetryEvent::KernelAvx2Op => "kernel_avx2_ops",
-            TelemetryEvent::SparseDispatch => "sparse_dispatches",
-            TelemetryEvent::DenseDispatch => "dense_dispatches",
-            TelemetryEvent::JournalOverflow => "journal_overflows",
-            TelemetryEvent::FastPathExec => "fast_path_execs",
-            TelemetryEvent::RetraceExec => "retrace_execs",
-            TelemetryEvent::CheckpointFallback => "checkpoint_fallbacks",
-            TelemetryEvent::QuarantinedEntry => "quarantined_entries",
-            TelemetryEvent::HeartbeatMiss => "heartbeat_misses",
-            TelemetryEvent::CompiledExec => "compiled_execs",
-            TelemetryEvent::SnapshotHit => "snapshot_hits",
-            TelemetryEvent::SnapshotMiss => "snapshot_misses",
-            TelemetryEvent::AllocExplicitHuge => "alloc_explicit_huge",
-            TelemetryEvent::AllocThp => "alloc_thp",
-            TelemetryEvent::AllocPlain => "alloc_plain",
-            TelemetryEvent::AllocFallback => "alloc_fallbacks",
-            TelemetryEvent::NumaPin => "numa_pins",
-            TelemetryEvent::NumaPinFail => "numa_pin_fails",
-        }
-    }
-
     /// The per-op counter for map operations dispatched through `kind`'s
     /// kernel table.
     pub fn for_kernel(kind: bigmap_core::KernelKind) -> TelemetryEvent {
@@ -256,46 +207,23 @@ impl TelemetryEvent {
     }
 }
 
-/// The coarse wall-time stages of the campaign loop — the live analogue
-/// of the paper's runtime-composition breakdown. The four buckets are
-/// disjoint: mutation/scheduling overhead is attributed to the mutation
-/// stage that incurred it, while map operations and target execution are
-/// carved out separately regardless of the surrounding stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Stage {
-    /// Deterministic-stage mutation generation and scheduling overhead.
-    Deterministic,
-    /// Havoc/splice mutation generation and scheduling overhead.
-    Havoc,
-    /// Whole-map operations: reset, classify, compare, hash.
-    MapOps,
-    /// Instrumented target execution (includes map updates, as in the
-    /// paper's accounting).
-    TargetExec,
-}
-
-impl Stage {
-    /// Every stage, in serialization order.
-    pub const ALL: [Stage; 4] = [
-        Stage::Deterministic,
-        Stage::Havoc,
-        Stage::MapOps,
-        Stage::TargetExec,
-    ];
-
-    #[inline]
-    fn slot(self) -> usize {
-        self as usize
-    }
-
-    /// The JSON field name of this stage's nanosecond accumulator.
-    pub fn key(self) -> &'static str {
-        match self {
-            Stage::Deterministic => "stage_deterministic_nanos",
-            Stage::Havoc => "stage_havoc_nanos",
-            Stage::MapOps => "stage_map_ops_nanos",
-            Stage::TargetExec => "stage_target_exec_nanos",
-        }
+keyed_enum! {
+    /// The coarse wall-time stages of the campaign loop — the live analogue
+    /// of the paper's runtime-composition breakdown. The four buckets are
+    /// disjoint: mutation/scheduling overhead is attributed to the mutation
+    /// stage that incurred it, while map operations and target execution are
+    /// carved out separately regardless of the surrounding stage.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum Stage, key_doc: "The JSON field name of this stage's nanosecond accumulator." {
+        /// Deterministic-stage mutation generation and scheduling overhead.
+        Deterministic => "stage_deterministic_nanos",
+        /// Havoc/splice mutation generation and scheduling overhead.
+        Havoc => "stage_havoc_nanos",
+        /// Whole-map operations: reset, classify, compare, hash.
+        MapOps => "stage_map_ops_nanos",
+        /// Instrumented target execution (includes map updates, as in the
+        /// paper's accounting).
+        TargetExec => "stage_target_exec_nanos",
     }
 }
 
@@ -309,8 +237,8 @@ impl Stage {
 pub struct Telemetry {
     instance: usize,
     started: Instant,
-    events: [EventCounter; 35],
-    stages: [StageNanos; 4],
+    events: [EventCounter; TelemetryEvent::ALL.len()],
+    stages: [StageNanos; Stage::ALL.len()],
 }
 
 impl Telemetry {
@@ -384,20 +312,20 @@ pub struct TelemetrySnapshot {
     /// Wall-clock nanoseconds since the instance's telemetry was created.
     pub wall_nanos: u64,
     /// Event counters, indexed in [`TelemetryEvent::ALL`] order.
-    pub events: [u64; 35],
+    pub events: [u64; TelemetryEvent::ALL.len()],
     /// Stage accumulators (nanoseconds), indexed in [`Stage::ALL`] order.
-    pub stage_nanos: [u64; 4],
+    pub stage_nanos: [u64; Stage::ALL.len()],
 }
 
-// Manual impl: `[u64; 35]` outgrew the derive's 32-element array limit.
+// Manual impl: the events array outgrew the derive's 32-element limit.
 impl Default for TelemetrySnapshot {
     fn default() -> Self {
         TelemetrySnapshot {
             instance: 0,
             node: 0,
             wall_nanos: 0,
-            events: [0; 35],
-            stage_nanos: [0; 4],
+            events: [0; TelemetryEvent::ALL.len()],
+            stage_nanos: [0; Stage::ALL.len()],
         }
     }
 }

@@ -4,95 +4,19 @@
 //! size-scaled sparse policy) is pure mechanism — where map bytes live and
 //! which walk visits them. These tests pin the boundary at a 256 MiB map:
 //!
-//! 1. Campaigns under `BIGMAP_HUGE=off|thp|explicit` with `BIGMAP_SPARSE`
-//!    auto walk bit-identical coverage trajectories (the
-//!    `tests/kernel_trajectory.rs` pattern, one regime up).
-//! 2. The journal's capacity scales with the map and its PR-5 overflow
-//!    policy (flag, bound, dense fallback) holds at giant sizes.
-//! 3. Maps report which backend served them, and every policy yields a
+//! 1. The journal's capacity scales with the map and its overflow policy
+//!    (flag, bound, dense fallback) holds at giant sizes.
+//! 2. Maps report which backend served them, and every policy yields a
 //!    correctly aligned, zeroed buffer — telemetry sees fallbacks, the
 //!    campaign never does.
 //!
-//! (CI additionally runs this file under `BIGMAP_HUGE=off` and `=thp`,
-//! pinning the process-wide default both ways.)
+//! That 256 MiB campaigns under every huge-page policy walk the reference
+//! trajectory is a cell family of `tests/invariance.rs`.
 
 use bigmap::core::alloc::{with_huge_policy, AllocBackend, HugePolicy, HUGE_PAGE_BYTES};
 use bigmap::core::journal::{capacity_for, TouchJournal, MAX_JOURNAL_CAPACITY};
 use bigmap::core::sparse::{run_crossover_divisor, select_path, GIANT_REGIME_BYTES};
 use bigmap::prelude::*;
-
-const GIANT: MapSize = MapSize::M256;
-
-fn run_giant(seed: u64, policy: HugePolicy) -> (CampaignStats, std::sync::Arc<Telemetry>) {
-    with_huge_policy(policy, || {
-        let spec = BenchmarkSpec::by_name("libpng").unwrap();
-        let program = spec.build(0.05);
-        let seeds = spec.build_seeds(&program, 8);
-        let instrumentation =
-            Instrumentation::assign(program.block_count(), program.call_sites, GIANT, 9);
-        let interpreter = Interpreter::new(&program);
-        let mut campaign = Campaign::new(
-            CampaignConfig {
-                scheme: MapScheme::TwoLevel,
-                map_size: GIANT,
-                budget: Budget::Execs(1_500),
-                seed,
-                sparse: Some(SparseMode::Auto),
-                ..Default::default()
-            },
-            &interpreter,
-            &instrumentation,
-        );
-        let tel = std::sync::Arc::new(Telemetry::new(0));
-        campaign.set_telemetry(std::sync::Arc::clone(&tel));
-        campaign.add_seeds(seeds);
-        (campaign.run(), tel)
-    })
-}
-
-#[test]
-fn giant_campaign_trajectory_is_huge_policy_invariant() {
-    // off / thp / explicit are alternative *homes* for the same bytes —
-    // switching the allocation backend (including an explicit request that
-    // falls back on a host without hugetlb reservations) must not move a
-    // single point on the coverage timeline.
-    let (baseline, base_tel) = run_giant(61, HugePolicy::Thp);
-    assert!(baseline.execs > 0);
-    assert!(
-        base_tel.get(TelemetryEvent::AllocThp) >= 1,
-        "thp run never attributed its map to the THP backend"
-    );
-    for policy in [HugePolicy::Off, HugePolicy::Explicit] {
-        let (run, tel) = run_giant(61, policy);
-        assert_eq!(baseline.execs, run.execs, "{policy:?}: exec count");
-        assert_eq!(baseline.queue_len, run.queue_len, "{policy:?}: queue");
-        assert_eq!(baseline.used_len, run.used_len, "{policy:?}: used prefix");
-        assert_eq!(
-            baseline.total_crashes, run.total_crashes,
-            "{policy:?}: crashes"
-        );
-        assert_eq!(
-            baseline.timeline.points(),
-            run.timeline.points(),
-            "{policy:?}: allocation backend changed the coverage trajectory"
-        );
-        // The equivalence must be telemetry-visible, not vacuous: every
-        // policy attributes its map to *some* backend, and an explicit
-        // request either lands on hugetlb pages or records the fallback.
-        match policy {
-            HugePolicy::Off => assert!(
-                tel.get(TelemetryEvent::AllocPlain) >= 1,
-                "off run never attributed its map to the plain backend"
-            ),
-            HugePolicy::Explicit => assert!(
-                tel.get(TelemetryEvent::AllocExplicitHuge) + tel.get(TelemetryEvent::AllocFallback)
-                    >= 1,
-                "explicit run neither served huge pages nor recorded a fallback"
-            ),
-            HugePolicy::Thp => unreachable!(),
-        }
-    }
-}
 
 #[test]
 fn giant_journal_capacity_scales_with_map_size() {
