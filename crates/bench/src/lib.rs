@@ -420,27 +420,6 @@ impl PreparedBenchmark {
         campaign.run()
     }
 
-    /// Runs one campaign arm with a live telemetry handle attached; the
-    /// final snapshot lands in [`CampaignStats::telemetry`].
-    pub fn run_campaign_telemetry(
-        &self,
-        scheme: MapScheme,
-        metric: MetricKind,
-        budget: Budget,
-        seed: u64,
-        telemetry: Arc<Telemetry>,
-    ) -> CampaignStats {
-        let interpreter = Interpreter::new(&self.program);
-        let mut campaign = Campaign::new(
-            self.arm_config(scheme, metric, budget, seed, true),
-            &interpreter,
-            &self.instrumentation,
-        );
-        campaign.set_telemetry(telemetry);
-        campaign.add_seeds(self.seeds.clone());
-        campaign.run()
-    }
-
     /// Runs a campaign arm and returns the final corpus alongside the stats
     /// (coverage replay experiments). `telemetry` optionally attaches a
     /// live stats registry to the arm.

@@ -30,10 +30,10 @@
 //!   adaptive sparse/dense dispatcher that shrink the per-exec map ops
 //!   from `O(used_key)` to `O(touched)` at low densities,
 //! * [`hash`] — CRC32 with the paper's hash-up-to-last-non-zero rule,
-//! * [`timing`] — per-operation runtime accounting used to regenerate the
-//!   paper's Figure 3,
-//! * [`counters`] — lock-free event counters and wall-time accumulators,
-//!   the substrate of the fuzzer's live telemetry layer,
+//! * [`timing`] — the campaign's per-span time ledger, which regenerates
+//!   the paper's Figure 3 and feeds live telemetry,
+//! * [`counters`] — lock-free event counters, the substrate of the
+//!   fuzzer's live telemetry layer,
 //! * [`env`] — the documented registry of every `BIGMAP_*` environment
 //!   knob with typed parse-and-validate accessors,
 //! * [`wire`] — the versioned, checksummed binary framing the process
@@ -67,6 +67,57 @@
 #![deny(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+/// Declares a fieldless enum from one table: every variant with its string
+/// key, in table order. Generates the enum, `ALL` (that order), a private
+/// `slot()` (the variant's index in `ALL`, for per-variant arrays sized
+/// `ALL.len()`) and a key accessor whose name and doc the table names.
+///
+/// ```rust
+/// bigmap_core::keyed_enum! {
+///     /// A traffic light.
+///     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///     pub enum Light, name: "The light's colour name." {
+///         /// Stop.
+///         Red => "red",
+///         /// Go.
+///         Green => "green",
+///     }
+/// }
+/// assert_eq!(Light::ALL, [Light::Red, Light::Green]);
+/// assert_eq!(Light::Green.name(), "green");
+/// ```
+#[macro_export]
+macro_rules! keyed_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident, $key_fn:ident: $key_doc:literal {
+            $( $(#[$variant_meta:meta])* $variant:ident => $key:literal, )*
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $( $(#[$variant_meta])* $variant, )*
+        }
+
+        impl $name {
+            /// Every variant, in table order.
+            pub const ALL: [$name; [$($key),*].len()] = [$($name::$variant),*];
+
+            #[inline]
+            fn slot(self) -> usize {
+                self as usize
+            }
+
+            #[doc = $key_doc]
+            pub fn $key_fn(self) -> &'static str {
+                match self {
+                    $( $name::$variant => $key, )*
+                }
+            }
+        }
+    };
+}
+
 pub mod alloc;
 pub mod classify;
 pub mod counters;
@@ -88,7 +139,7 @@ pub mod virgin;
 pub mod wire;
 
 pub use alloc::{AllocBackend, HugePolicy, NumaPolicy};
-pub use counters::{EventCounter, StageNanos};
+pub use counters::EventCounter;
 pub use env::Knob;
 pub use flat::FlatBitmap;
 pub use hash::Crc32;

@@ -226,29 +226,6 @@ pub fn journal_overflows() -> u64 {
     OVERFLOWS.get()
 }
 
-/// Journal-driven reset: zeroes exactly the listed condensed slots.
-///
-/// Equivalent to `counts.fill(0)` over the used prefix whenever `slots`
-/// covers every nonzero byte — the journal guarantee — at `O(touched)`
-/// cost.
-///
-/// # Panics
-///
-/// Panics if any slot index is out of bounds.
-pub fn reset_slots(counts: &mut [u8], slots: &[u32]) {
-    let len = counts.len();
-    assert!(
-        slots.iter().all(|&s| (s as usize) < len),
-        "slot index out of bounds"
-    );
-    for &s in slots {
-        // SAFETY: every slot was bounds-checked above.
-        unsafe {
-            *counts.get_unchecked_mut(s as usize) = 0;
-        }
-    }
-}
-
 // ---------------------------------------------------------------- run ops
 //
 // The journal stores maximal runs of consecutive slots
@@ -343,9 +320,18 @@ pub fn classify_runs(counts: &mut [u8], runs: &[SlotRun], table: &KernelTable) {
     }
 }
 
-/// Journal-driven compare over runs (see [`crate::diff::compare_slots`] for
-/// the slot-level contract, including the `hash_to_last_nonzero`
-/// crash/hang-virgin semantics).
+/// Journal-driven compare over runs: diffs only the journaled slots of an
+/// already-classified region against `virgin`.
+///
+/// Byte-for-byte equivalent to [`crate::diff::compare_region`] — same
+/// verdict, same virgin bytes — whenever `runs` cover every nonzero byte of
+/// `cur`, which the touch journal guarantees by construction (untouched
+/// slots are zero after reset, and a zero `cur` byte can neither raise a
+/// verdict nor clear a virgin bit). This includes the
+/// `hash_to_last_nonzero` new-coverage semantics for the crash and hang
+/// virgin maps: they diff the same classified region through this entry
+/// point, so a first crash/hang still reports `NewEdge` against its own
+/// all-0xFF virgin state.
 ///
 /// # Panics
 ///
@@ -380,10 +366,14 @@ pub fn compare_runs(
     verdict
 }
 
-/// Journal-driven merged classify + compare over runs (see
-/// [`crate::diff::classify_and_compare_slots`] for the slot-level
-/// contract; the journal's epoch dedup supplies the uniqueness
-/// classification needs).
+/// Journal-driven merged classify + compare over runs: buckets and diffs
+/// only the journaled slots.
+///
+/// Equivalent to [`crate::diff::classify_and_compare_region`] under the
+/// journal guarantee (see [`compare_runs`]), with the additional
+/// requirement that the runs' slots are **unique** — classification is not
+/// idempotent, so a duplicated slot would be bucketed twice. The journal's
+/// epoch dedup supplies that uniqueness.
 ///
 /// # Panics
 ///
@@ -538,22 +528,6 @@ mod tests {
             select_path(SparseMode::Auto, true, at, at, used),
             OpPath::Dense
         );
-    }
-
-    #[test]
-    fn reset_slots_clears_exactly_the_listed_slots() {
-        let mut buf = [7u8; 16];
-        reset_slots(&mut buf, &[0, 3, 15]);
-        for (i, &b) in buf.iter().enumerate() {
-            let expect = if [0, 3, 15].contains(&i) { 0 } else { 7 };
-            assert_eq!(b, expect, "slot {i}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "slot index out of bounds")]
-    fn reset_slots_rejects_out_of_bounds() {
-        reset_slots(&mut [0u8; 4], &[4]);
     }
 
     #[test]

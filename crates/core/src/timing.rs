@@ -1,60 +1,45 @@
-//! Per-operation runtime accounting (regenerates Figure 3).
+//! The campaign's time ledger (regenerates Figure 3).
 //!
 //! The paper's Figure 3 decomposes a campaign's wall-clock time into target
-//! execution plus the five map operations. The fuzzer wraps each stage in a
-//! timer and accumulates into an [`OpStats`]; the Figure 3 harness prints the
-//! same stacked rows as the paper.
+//! execution plus the map operations. [`OpStats`] is the one record of that
+//! split: the fuzzing loop keeps the instant of its last layer boundary,
+//! reads the clock once per boundary and credits the delta to the
+//! [`OpKind`] that just ended. The laps tile the loop from the instant its
+//! wall clock starts to the instant it stops, so the ledger's total equals
+//! the loop's wall time exactly. The Figure 3 harness prints the ledger's
+//! stacked rows and the fuzzer's live telemetry stages are a projection of
+//! it.
 
 use std::fmt;
 use std::time::Duration;
 
-/// The stages of the per-test-case pipeline that the paper accounts for.
-///
-/// The discriminants follow [`OpKind::ALL`] (Figure 3's stacking order)
-/// and index the per-stage accumulators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OpKind {
-    /// Running the (instrumented) target — includes the bitmap *update*
-    /// cost, exactly as in the paper, where the update happens inside the
-    /// instrumented target's execution.
-    Execution = 0,
-    /// Bitmap reset before each test case.
-    Reset = 3,
-    /// Bitmap classify (bucketing) after each test case.
-    Classify = 1,
-    /// Bitmap compare against the virgin map(s).
-    Compare = 2,
-    /// Bitmap hash (interesting test cases only).
-    Hash = 4,
-    /// Everything else: scheduling, mutation, queue maintenance, sync.
-    Other = 5,
-}
-
-impl OpKind {
-    /// All kinds, in the order Figure 3 stacks them.
-    pub const ALL: [OpKind; 6] = [
-        OpKind::Execution,
-        OpKind::Classify,
-        OpKind::Compare,
-        OpKind::Reset,
-        OpKind::Hash,
-        OpKind::Other,
-    ];
-
-    /// Figure-3-compatible label.
-    pub fn label(self) -> &'static str {
-        match self {
-            OpKind::Execution => "Execution",
-            OpKind::Reset => "Map Reset",
-            OpKind::Classify => "Map Classify",
-            OpKind::Compare => "Map Compare",
-            OpKind::Hash => "Map Hash",
-            OpKind::Other => "Others",
-        }
-    }
-
-    fn slot(self) -> usize {
-        self as usize
+crate::keyed_enum! {
+    /// The spans of the fuzzing loop the ledger accounts for: the paper's
+    /// Figure 3 stages plus deterministic-stage mutation.
+    ///
+    /// [`OpKind::ALL`] is Figure 3's stacking order and indexes the per-kind
+    /// accumulators.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum OpKind, label: "Figure-3-compatible label." {
+        /// Running the (instrumented) target — includes the bitmap *update*
+        /// cost, exactly as in the paper, where the update happens inside the
+        /// instrumented target's execution.
+        Execution => "Execution",
+        /// Bitmap classify (bucketing) after each test case (split
+        /// pipeline only).
+        Classify => "Map Classify",
+        /// Bitmap compare against the virgin map(s); the merged §IV-E
+        /// classify + compare pass lands here.
+        Compare => "Map Compare",
+        /// Bitmap reset before each test case.
+        Reset => "Map Reset",
+        /// Bitmap hash (interesting test cases only).
+        Hash => "Map Hash",
+        /// Generating a new seed's deterministic-stage children.
+        Deterministic => "Deterministic",
+        /// Everything else: scheduling, havoc mutation, admission, trim,
+        /// queue maintenance, sync and checkpoint hooks.
+        Other => "Others",
     }
 }
 
@@ -80,8 +65,8 @@ impl fmt::Display for OpKind {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpStats {
-    nanos: [u128; 6],
-    counts: [u64; 6],
+    nanos: [u128; OpKind::ALL.len()],
+    counts: [u64; OpKind::ALL.len()],
 }
 
 impl OpStats {
@@ -144,8 +129,8 @@ impl OpStats {
         out
     }
 
-    /// Sum of the map-operation stages only (everything except execution
-    /// and "others") — the quantity BigMap attacks.
+    /// Sum of the map-operation stages only (reset, classify, compare and
+    /// hash) — the quantity BigMap attacks.
     pub fn map_ops_total(&self) -> Duration {
         let sum = self.nanos[OpKind::Reset.slot()]
             + self.nanos[OpKind::Classify.slot()]
@@ -244,6 +229,7 @@ mod tests {
     fn map_ops_total_excludes_execution_and_other() {
         let mut s = OpStats::new();
         s.add(OpKind::Execution, Duration::from_secs(100));
+        s.add(OpKind::Deterministic, Duration::from_secs(100));
         s.add(OpKind::Other, Duration::from_secs(100));
         s.add(OpKind::Reset, Duration::from_secs(1));
         s.add(OpKind::Classify, Duration::from_secs(2));

@@ -2,11 +2,12 @@
 //!
 //! Select a seed → mutate it many times → execute each child → classify and
 //! compare coverage → admit interesting children to the pool, report
-//! crashes and hangs. Every stage is timed into an
-//! [`OpStats`](bigmap_core::OpStats), which is what the Figure 3 harness
-//! prints, and the whole loop is parametric over the map scheme
-//! ([`MapScheme`]), the map size and the coverage metric — the three axes
-//! of the paper's evaluation.
+//! crashes and hangs. The loop's wall time is tiled into one [`OpStats`]
+//! ledger — one clock read per layer boundary, each lap credited to the
+//! span that just ended — which is what the Figure 3 harness prints and
+//! what live telemetry projects. The whole loop is parametric over the map
+//! scheme ([`MapScheme`]), the map size and the coverage metric — the three
+//! axes of the paper's evaluation.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -31,7 +32,7 @@ use crate::executor::{EnginePath, Executor};
 use crate::faults::{FaultSite, InstanceFaults};
 use crate::mutate::Mutator;
 use crate::queue::Queue;
-use crate::telemetry::{Stage, Telemetry, TelemetryEvent, TelemetrySnapshot};
+use crate::telemetry::{Telemetry, TelemetryEvent, TelemetrySnapshot};
 use crate::timeline::CoverageTimeline;
 use crate::trim::trim_input;
 
@@ -369,7 +370,8 @@ pub struct CampaignStats {
     pub used_len: usize,
     /// Final queue size.
     pub queue_len: usize,
-    /// Per-stage runtime accounting (Figure 3).
+    /// The fuzzing loop's time ledger (Figure 3): its spans sum to
+    /// `wall_time` minus the time carried over from a resumed checkpoint.
     pub ops: OpStats,
     /// Crashwalk bucket hashes of the unique crashes (used for fleet-wide
     /// dedup across parallel instances).
@@ -416,6 +418,10 @@ pub struct Campaign<'p> {
     hangs: u64,
     coverage_unique_crashes: usize,
     ops: OpStats,
+    /// The instant of the last layer boundary while the fuzzing loop's
+    /// clock runs; `None` outside it (seed dry runs, restore replays and
+    /// imports before `run`), which are not lapped.
+    lap_start: Option<Instant>,
     /// Inputs admitted to the queue since the last drain (parallel sync).
     fresh_finds: Vec<Vec<u8>>,
     /// Derivation depth assigned to inputs admitted right now: 0 while dry
@@ -428,9 +434,6 @@ pub struct Campaign<'p> {
     /// harnesses attach one; `None` costs a single predicted branch per
     /// pipeline stage).
     telemetry: Option<Arc<Telemetry>>,
-    /// Which mutation stage the loop is currently generating children
-    /// for — scheduling/mutation overhead is attributed to it.
-    mutation_stage: Stage,
     /// Optional deterministic fault-injection handle (degradation tests
     /// attach one; `None` costs a single predicted branch per injection
     /// point, same discipline as `telemetry`).
@@ -535,13 +538,13 @@ impl<'p> Campaign<'p> {
             hangs: 0,
             coverage_unique_crashes: 0,
             ops: OpStats::new(),
+            lap_start: None,
             fresh_finds: Vec::new(),
             admit_depth: 0,
             crash_inputs: Vec::new(),
             timeline: CoverageTimeline::new(),
             discovered_running: 0,
             telemetry: None,
-            mutation_stage: Stage::Havoc,
             faults: None,
             hang_inputs: Vec::new(),
             seed_steps: Vec::new(),
@@ -568,8 +571,9 @@ impl<'p> Campaign<'p> {
     }
 
     /// Attaches a live telemetry registry: every pipeline stage from here
-    /// on counts its events and attributes its wall time into `telemetry`,
-    /// and [`CampaignStats::telemetry`] carries the final snapshot.
+    /// on counts its events into `telemetry`, its stage clocks mirror this
+    /// campaign's time ledger, and [`CampaignStats::telemetry`] carries the
+    /// final snapshot.
     pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
         // Record which map-op kernel table this campaign will dispatch
         // through — one selection event plus the per-kernel op counters
@@ -688,6 +692,25 @@ impl<'p> Campaign<'p> {
         &self.queue
     }
 
+    /// Closes the current lap at a layer boundary: one clock read, and the
+    /// time since the previous boundary is credited to `kind`, the span
+    /// that just ended. A no-op while the loop's clock is stopped.
+    #[inline]
+    fn lap(&mut self, kind: OpKind) {
+        if let Some(start) = self.lap_start {
+            let now = Instant::now();
+            self.ops.add(kind, now - start);
+            self.lap_start = Some(now);
+        }
+    }
+
+    /// Stores the ledger's stage projection into the attached telemetry.
+    fn store_stages(&self) {
+        if let Some(tel) = &self.telemetry {
+            tel.store_stages(&self.ops);
+        }
+    }
+
     /// Whether the next test case gets an untraced fast pass. This also
     /// advances the traced-direct fallback window, so it must be called
     /// exactly once per test case.
@@ -745,13 +768,13 @@ impl<'p> Campaign<'p> {
         };
 
         // Two-speed fast pass: untraced exec, oracle verdict, maybe skip.
-        let mut fast_time = Duration::ZERO;
         let mut retraced = false;
         let mut fast_engine = None;
         if self.fast_pass_active() {
+            self.lap(OpKind::Other);
             let oracle = self.oracle.as_mut().expect("fast pass requires an oracle");
             let fast = self.executor.run_fast(input, oracle);
-            fast_time = fast.exec_time;
+            self.lap(OpKind::Execution);
             fast_engine = Some(fast.engine);
             // The *effective* outcome decides skippability: an injected
             // crash/hang must flow through the crash/hang pipeline even
@@ -760,7 +783,6 @@ impl<'p> Campaign<'p> {
             let skip = effective_ok && fast.provably_seen && !force_admit && !self.restoring;
             self.note_fast_pass_decision(!skip);
             if skip {
-                self.ops.add(OpKind::Execution, fast.exec_time);
                 self.stats_execs += 1;
                 if self.stats_execs.is_multiple_of(256) {
                     self.timeline
@@ -770,25 +792,20 @@ impl<'p> Campaign<'p> {
                     tel.incr(TelemetryEvent::Exec);
                     tel.incr(TelemetryEvent::FastPathExec);
                     note_engine(tel, fast.engine);
-                    tel.add_stage(Stage::TargetExec, fast.exec_time);
                 }
                 return NewCoverage::None;
             }
             retraced = true;
         }
 
-        // Map reset (timed separately — the paper's "Map Reset" bar).
-        let t = Instant::now();
+        // Map reset (its own lap — the paper's "Map Reset" bar).
+        self.lap(OpKind::Other);
         self.map.reset();
-        let reset_time = t.elapsed();
-        self.ops.add(OpKind::Reset, reset_time);
-        let mut map_ops_time = reset_time;
+        self.lap(OpKind::Reset);
 
-        // Target execution, including bitmap updates (plus the untraced
-        // fast pass that flagged this input, if one ran).
+        // Target execution, including bitmap updates, runs until the lap
+        // that opens the classify/compare span below.
         let mut execution = self.executor.run(input, self.map.as_mut());
-        self.ops
-            .add(OpKind::Execution, fast_time + execution.exec_time);
         self.stats_execs += 1;
         if force_admit && !self.restoring {
             // Seed dry run: sample the step count for hang-budget
@@ -811,33 +828,25 @@ impl<'p> Campaign<'p> {
         // Classify + compare. Crashes and hangs diff against their own
         // virgin maps, like AFL. With the §IV-E merge (the default) both
         // steps run in one pass, accounted to Compare; the split pipeline
-        // times them separately, which is how the paper's Figure 3 shows
+        // laps them separately, which is how the paper's Figure 3 shows
         // its bars.
+        let split_pipeline = !self.config.merged_classify_compare;
+        self.lap(OpKind::Execution);
+        if split_pipeline {
+            self.map.classify();
+            self.lap(OpKind::Classify);
+        }
         let virgin = match &execution.outcome {
             ExecOutcome::Ok => &mut self.virgin,
             ExecOutcome::Crash { .. } => &mut self.virgin_crash,
             ExecOutcome::Hang => &mut self.virgin_hang,
         };
-        let split_pipeline = !self.config.merged_classify_compare;
-        let verdict = if self.config.merged_classify_compare {
-            let t = Instant::now();
-            let verdict = self.map.classify_and_compare(virgin);
-            let compare_time = t.elapsed();
-            self.ops.add(OpKind::Compare, compare_time);
-            map_ops_time += compare_time;
-            verdict
+        let verdict = if split_pipeline {
+            self.map.compare(virgin)
         } else {
-            let t = Instant::now();
-            self.map.classify();
-            let classify_time = t.elapsed();
-            self.ops.add(OpKind::Classify, classify_time);
-            let t = Instant::now();
-            let verdict = self.map.compare(virgin);
-            let compare_time = t.elapsed();
-            self.ops.add(OpKind::Compare, compare_time);
-            map_ops_time += classify_time + compare_time;
-            verdict
+            self.map.classify_and_compare(virgin)
         };
+        self.lap(OpKind::Compare);
 
         match &execution.outcome {
             ExecOutcome::Ok => {
@@ -865,21 +874,17 @@ impl<'p> Campaign<'p> {
                     // entries were already final, and re-trimming would
                     // change their bytes.
                     let stored = if self.config.trim_new_entries && !self.restoring {
-                        let t = Instant::now();
                         let result = trim_input(&mut self.executor, self.map.as_mut(), input);
                         self.stats_execs += result.execs;
-                        self.ops.add(OpKind::Other, t.elapsed());
                         result.input
                     } else {
                         input.to_vec()
                     };
 
                     // Bitmap hash — interesting test cases only (§II-A2).
-                    let t = Instant::now();
+                    self.lap(OpKind::Other);
                     let hash = self.map.hash();
-                    let hash_time = t.elapsed();
-                    self.ops.add(OpKind::Hash, hash_time);
-                    map_ops_time += hash_time;
+                    self.lap(OpKind::Hash);
 
                     let mut slots = Vec::new();
                     self.map.for_each_nonzero(&mut |slot, _| slots.push(slot));
@@ -963,8 +968,6 @@ impl<'p> Campaign<'p> {
                 }
                 note_engine(tel, execution.engine);
                 tel.add(TelemetryEvent::MapUpdate, execution.map_updates);
-                tel.add_stage(Stage::TargetExec, fast_time + execution.exec_time);
-                tel.add_stage(Stage::MapOps, map_ops_time);
                 if verdict == NewCoverage::NewEdge {
                     tel.incr(TelemetryEvent::NewCoverage);
                 }
@@ -1106,6 +1109,9 @@ impl<'p> Campaign<'p> {
     ) {
         assert!(!self.queue.is_empty(), "campaign needs at least one seed");
         self.loop_started = Some(started);
+        // The ledger's clock starts with the wall clock: every lap from
+        // here to `finish` tiles the loop's wall time.
+        self.lap_start = Some(started);
         let mut next_sync = hook.as_ref().map(|h| h.every).unwrap_or(u64::MAX);
 
         // Hang-budget calibration (AFL's timeout calibration, in steps):
@@ -1120,9 +1126,7 @@ impl<'p> Campaign<'p> {
 
         let mut deterministic_done = 0usize;
         while self.budget_left(started) {
-            // Seed scheduling ("Others" time; attributed to the havoc
-            // bucket in the live telemetry, as general loop overhead).
-            let t = Instant::now();
+            // Seed scheduling ("Others" time, closed by the next lap).
             let rng = &mut self.rng;
             let entry_id = self
                 .queue
@@ -1138,11 +1142,8 @@ impl<'p> Campaign<'p> {
             // priming run streams into a null sink — no map, oracle or
             // counter ever observes it — so it is trajectory-invisible.
             self.executor.prime_snapshot(&parent);
-            let sched_time = t.elapsed();
-            self.ops.add(OpKind::Other, sched_time);
             if let Some(tel) = &self.telemetry {
                 tel.incr(TelemetryEvent::QueueCycle);
-                tel.add_stage(Stage::Havoc, sched_time);
             }
 
             // Deterministic stages for newly scheduled seeds (master
@@ -1155,19 +1156,15 @@ impl<'p> Campaign<'p> {
                 && self.queue.entry(entry_id).fuzzed_rounds <= 1
             {
                 deterministic_done = entry_id + 1;
-                self.mutation_stage = Stage::Deterministic;
-                let t = Instant::now();
+                self.lap(OpKind::Other);
                 let children = Mutator::deterministic(&parent, 512);
-                if let Some(tel) = &self.telemetry {
-                    tel.add_stage(Stage::Deterministic, t.elapsed());
-                }
+                self.lap(OpKind::Deterministic);
                 for child in children {
                     if !self.budget_left(started) {
                         break;
                     }
                     self.execute_and_judge(&child, false);
                 }
-                self.mutation_stage = Stage::Havoc;
             }
 
             // AFL's `calculate_score` depth bonus: seeds far down a
@@ -1186,8 +1183,7 @@ impl<'p> Campaign<'p> {
                 if !self.budget_left(started) {
                     break;
                 }
-                // Mutation ("Others" time).
-                let t = Instant::now();
+                // Mutation ("Others" time, closed by the exec's first lap).
                 let splice_with = if self.queue.len() > 1 && self.rng.gen_bool(0.2) {
                     let other = self.rng.gen_range(0..self.queue.len());
                     Some(self.queue.entry(other).input.clone())
@@ -1195,12 +1191,6 @@ impl<'p> Campaign<'p> {
                     None
                 };
                 let child = self.mutator.havoc(&parent, splice_with.as_deref());
-                let mutate_time = t.elapsed();
-                self.ops.add(OpKind::Other, mutate_time);
-                if let Some(tel) = &self.telemetry {
-                    tel.add_stage(self.mutation_stage, mutate_time);
-                }
-
                 self.execute_and_judge(&child, false);
             }
 
@@ -1211,7 +1201,10 @@ impl<'p> Campaign<'p> {
             // scheduled parent's children; resuming from it re-schedules
             // a fresh parent and the trajectory diverges from the
             // uninterrupted run. Batch alignment is what makes
-            // kill/restore cycles bit-identical.
+            // kill/restore cycles bit-identical. The telemetry's stage
+            // clocks catch up with the ledger here, before any hook can
+            // snapshot them.
+            self.store_stages();
             if self.stats_execs >= next_sync {
                 self.sync_boundary_faults();
                 if let Some(h) = hook.as_mut() {
@@ -1383,8 +1376,15 @@ impl<'p> Campaign<'p> {
         }
     }
 
-    fn finish(self, started: Instant) -> CampaignStats {
-        let wall_time = self.prior_wall + started.elapsed();
+    fn finish(mut self, started: Instant) -> CampaignStats {
+        // One clock read stops both the wall clock and the ledger's last
+        // lap, so the ledger sums to the loop's wall time exactly.
+        let now = Instant::now();
+        let wall_time = self.prior_wall + (now - started);
+        if let Some(start) = self.lap_start.take() {
+            self.ops.add(OpKind::Other, now - start);
+        }
+        self.store_stages();
         CampaignStats {
             execs: self.stats_execs,
             wall_time,

@@ -265,11 +265,6 @@ impl<'p> Executor<'p> {
         true
     }
 
-    /// Drops any armed snapshot recording.
-    pub fn clear_snapshot(&mut self) {
-        self.recording = None;
-    }
-
     fn effective_budget(&self) -> u64 {
         self.step_budget
             .unwrap_or(self.interpreter.config().max_steps)

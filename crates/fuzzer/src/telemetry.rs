@@ -1,5 +1,5 @@
-//! Live fleet telemetry: lock-free per-instance counters, per-stage
-//! wall-time attribution, and a JSONL event sink.
+//! Live fleet telemetry: lock-free per-instance counters, stage clocks
+//! projected from the campaign's time ledger, and a JSONL event sink.
 //!
 //! The paper's evaluation is built from two kinds of observation: *where
 //! the time goes* per test case (Figure 3 / Table III's runtime
@@ -9,9 +9,9 @@
 //! fleet runs**, cheaply enough to leave on:
 //!
 //! * [`Telemetry`] — one per campaign instance; relaxed-atomic event
-//!   counters ([`TelemetryEvent`]) plus wall-time accumulators for the
-//!   four coarse stages ([`Stage`]): deterministic mutation, havoc
-//!   mutation, map operations, target execution.
+//!   counters ([`TelemetryEvent`]) plus four coarse wall-time stages
+//!   ([`Stage`]): deterministic mutation, havoc (and the rest of the loop),
+//!   map operations, target execution.
 //! * [`TelemetrySnapshot`] — a point-in-time copy, taken at sync
 //!   boundaries (never on the per-exec path), serializable to/from a
 //!   single JSON line.
@@ -19,21 +19,31 @@
 //! * [`TelemetryRegistry`] — hands out per-instance [`Telemetry`] handles
 //!   and fans snapshots into the sink.
 //!
-//! Counters use [`EventCounter`]/[`StageNanos`] from `bigmap-core`: one
-//! relaxed `fetch_add` per event, `#[inline]` all the way down, so the
-//! hot path costs a predictable handful of nanoseconds (measured ≤ 2% on
-//! the Figure 6 throughput harness — see EXPERIMENTS.md).
+//! Event counters use [`EventCounter`] from `bigmap-core`: one relaxed
+//! `fetch_add` per event, `#[inline]` all the way down, so the hot path
+//! costs a predictable handful of nanoseconds (measured ≤ 2% on the
+//! Figure 6 throughput harness — see EXPERIMENTS.md). The stages are not
+//! timed here at all: the campaign's one time ledger is its
+//! [`OpStats`], and the campaign *stores* the ledger's projection onto the
+//! four stages ([`Telemetry::store_stages`]) at every mutation-batch
+//! boundary and when it finishes. A snapshot's stages therefore equal the
+//! ledger as of the last boundary, and sum to the fuzzing loop's wall time
+//! up to that point.
 //!
 //! # Examples
 //!
 //! ```rust
+//! use bigmap_core::{OpKind, OpStats};
 //! use bigmap_fuzzer::telemetry::{Stage, Telemetry, TelemetryEvent};
 //! use std::time::Duration;
 //!
 //! let t = Telemetry::new(0);
 //! t.incr(TelemetryEvent::Exec);
 //! t.add(TelemetryEvent::MapUpdate, 17);
-//! t.add_stage(Stage::TargetExec, Duration::from_micros(50));
+//! let mut ops = OpStats::new();
+//! ops.add(OpKind::Execution, Duration::from_micros(50));
+//! t.store_stages(&ops);
+//! assert_eq!(t.stage_time(Stage::TargetExec), Duration::from_micros(50));
 //!
 //! let snap = t.snapshot();
 //! assert_eq!(snap.get(TelemetryEvent::Exec), 1);
@@ -46,51 +56,18 @@ use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use bigmap_core::{EventCounter, StageNanos};
+use bigmap_core::{keyed_enum, EventCounter, OpKind, OpStats};
 
 use crate::timeline::TimelinePoint;
-
-/// Declares a telemetry enum from one table: every variant with its JSON
-/// key, in serialization order. Generates the enum, `ALL` (that order),
-/// `slot()` (the variant's index in `ALL`) and `key()`.
-macro_rules! keyed_enum {
-    (
-        $(#[$meta:meta])*
-        $vis:vis enum $name:ident, key_doc: $key_doc:literal {
-            $( $(#[$variant_meta:meta])* $variant:ident => $key:literal, )*
-        }
-    ) => {
-        $(#[$meta])*
-        $vis enum $name {
-            $( $(#[$variant_meta])* $variant, )*
-        }
-
-        impl $name {
-            /// Every variant, in serialization order.
-            pub const ALL: [$name; [$($key),*].len()] = [$($name::$variant),*];
-
-            #[inline]
-            fn slot(self) -> usize {
-                self as usize
-            }
-
-            #[doc = $key_doc]
-            pub fn key(self) -> &'static str {
-                match self {
-                    $( $name::$variant => $key, )*
-                }
-            }
-        }
-    };
-}
 
 keyed_enum! {
     /// The countable events of the campaign pipeline.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    pub enum TelemetryEvent, key_doc: "The JSON field name of this event's counter." {
+    pub enum TelemetryEvent, key: "The JSON field name of this event's counter." {
         /// Coverage-map resets (one per test case).
         MapReset => "map_resets",
         /// Standalone classify passes (split pipeline only; the merged
@@ -209,21 +186,41 @@ impl TelemetryEvent {
 
 keyed_enum! {
     /// The coarse wall-time stages of the campaign loop — the live analogue
-    /// of the paper's runtime-composition breakdown. The four buckets are
-    /// disjoint: mutation/scheduling overhead is attributed to the mutation
-    /// stage that incurred it, while map operations and target execution are
-    /// carved out separately regardless of the surrounding stage.
+    /// of the paper's runtime-composition breakdown. Each stage is a sum of
+    /// [`OpKind`] spans of the campaign's time ledger, so the four buckets
+    /// are disjoint and together cover the whole fuzzing loop.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    pub enum Stage, key_doc: "The JSON field name of this stage's nanosecond accumulator." {
-        /// Deterministic-stage mutation generation and scheduling overhead.
+    pub enum Stage, key: "The JSON field name of this stage's nanosecond accumulator." {
+        /// Deterministic-stage child generation ([`OpKind::Deterministic`]).
         Deterministic => "stage_deterministic_nanos",
-        /// Havoc/splice mutation generation and scheduling overhead.
+        /// Havoc/splice mutation and the rest of the loop: scheduling,
+        /// admission, trim, and the sync and checkpoint hooks
+        /// ([`OpKind::Other`]).
         Havoc => "stage_havoc_nanos",
-        /// Whole-map operations: reset, classify, compare, hash.
+        /// Map operations: reset, classify, compare, hash
+        /// ([`OpKind::Reset`] + [`OpKind::Classify`] +
+        /// [`OpKind::Compare`] + [`OpKind::Hash`]).
         MapOps => "stage_map_ops_nanos",
         /// Instrumented target execution (includes map updates, as in the
-        /// paper's accounting).
+        /// paper's accounting; [`OpKind::Execution`]).
         TargetExec => "stage_target_exec_nanos",
+    }
+}
+
+impl Stage {
+    /// The ledger spans this stage is the sum of.
+    fn kinds(self) -> &'static [OpKind] {
+        match self {
+            Stage::Deterministic => &[OpKind::Deterministic],
+            Stage::Havoc => &[OpKind::Other],
+            Stage::MapOps => &[
+                OpKind::Reset,
+                OpKind::Classify,
+                OpKind::Compare,
+                OpKind::Hash,
+            ],
+            Stage::TargetExec => &[OpKind::Execution],
+        }
     }
 }
 
@@ -238,7 +235,7 @@ pub struct Telemetry {
     instance: usize,
     started: Instant,
     events: [EventCounter; TelemetryEvent::ALL.len()],
-    stages: [StageNanos; Stage::ALL.len()],
+    stages: [AtomicU64; Stage::ALL.len()],
 }
 
 impl Telemetry {
@@ -248,7 +245,7 @@ impl Telemetry {
             instance,
             started: Instant::now(),
             events: std::array::from_fn(|_| EventCounter::new()),
-            stages: std::array::from_fn(|_| StageNanos::new()),
+            stages: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
@@ -269,10 +266,15 @@ impl Telemetry {
         self.events[event.slot()].add(n);
     }
 
-    /// Attributes `elapsed` wall time to `stage`.
-    #[inline]
-    pub fn add_stage(&self, stage: Stage, elapsed: Duration) {
-        self.stages[stage.slot()].add(elapsed);
+    /// Stores (overwrites) every stage clock with its projection of the
+    /// time ledger `ops` (see [`Stage`]). Saturates at `u64::MAX`
+    /// nanoseconds (~584 years).
+    pub fn store_stages(&self, ops: &OpStats) {
+        for stage in Stage::ALL {
+            let time: Duration = stage.kinds().iter().map(|&k| ops.get(k)).sum();
+            let nanos = u64::try_from(time.as_nanos()).unwrap_or(u64::MAX);
+            self.stages[stage.slot()].store(nanos, Ordering::Relaxed);
+        }
     }
 
     /// Current count of `event`.
@@ -280,9 +282,9 @@ impl Telemetry {
         self.events[event.slot()].get()
     }
 
-    /// Wall time attributed to `stage` so far.
+    /// Wall time attributed to `stage` as of the last store.
     pub fn stage_time(&self, stage: Stage) -> Duration {
-        self.stages[stage.slot()].total()
+        Duration::from_nanos(self.stages[stage.slot()].load(Ordering::Relaxed))
     }
 
     /// Takes a point-in-time snapshot (called at sync boundaries, never
@@ -293,7 +295,7 @@ impl Telemetry {
             node: 0,
             wall_nanos: u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX),
             events: std::array::from_fn(|i| self.events[i].get()),
-            stage_nanos: std::array::from_fn(|i| self.stages[i].nanos()),
+            stage_nanos: std::array::from_fn(|i| self.stages[i].load(Ordering::Relaxed)),
         }
     }
 }
@@ -755,15 +757,29 @@ mod tests {
         assert_eq!(t.instance(), 3);
     }
 
+    /// A ledger whose projection puts `nanos(stage)` on every stage.
+    fn ledger(nanos: impl Fn(Stage) -> u64) -> OpStats {
+        let mut ops = OpStats::new();
+        for stage in Stage::ALL {
+            ops.add(stage.kinds()[0], Duration::from_nanos(nanos(stage)));
+        }
+        ops
+    }
+
     #[test]
     fn stage_time_accumulates() {
         let t = Telemetry::new(0);
-        t.add_stage(Stage::MapOps, Duration::from_micros(5));
-        t.add_stage(Stage::MapOps, Duration::from_micros(5));
-        t.add_stage(Stage::Havoc, Duration::from_micros(1));
+        let mut ops = OpStats::new();
+        ops.add(OpKind::Reset, Duration::from_micros(5));
+        ops.add(OpKind::Hash, Duration::from_micros(5));
+        ops.add(OpKind::Other, Duration::from_micros(1));
+        t.store_stages(&ops);
         assert_eq!(t.stage_time(Stage::MapOps), Duration::from_micros(10));
         assert_eq!(t.stage_time(Stage::Havoc), Duration::from_micros(1));
         assert_eq!(t.stage_time(Stage::Deterministic), Duration::ZERO);
+        // A store overwrites: the ledger is cumulative, the stages mirror it.
+        t.store_stages(&ops);
+        assert_eq!(t.stage_time(Stage::MapOps), Duration::from_micros(10));
     }
 
     #[test]
@@ -772,9 +788,7 @@ mod tests {
         for event in TelemetryEvent::ALL {
             t.add(event, event.slot() as u64 + 1);
         }
-        for stage in Stage::ALL {
-            t.add_stage(stage, Duration::from_nanos(stage.slot() as u64 + 100));
-        }
+        t.store_stages(&ledger(|stage| stage.slot() as u64 + 100));
         let snap = t.snapshot();
         let line = snap.to_json();
         let back = TelemetrySnapshot::from_json(&line).expect("roundtrip");
@@ -800,9 +814,7 @@ mod tests {
         for (i, event) in TelemetryEvent::ALL.into_iter().enumerate() {
             t.add(event, i as u64 + 1);
         }
-        for (i, stage) in Stage::ALL.into_iter().enumerate() {
-            t.add_stage(stage, Duration::from_nanos(i as u64 + 100));
-        }
+        t.store_stages(&ledger(|stage| stage.slot() as u64 + 100));
         let snap = TelemetrySnapshot {
             node: 3,
             wall_nanos: 123_456_789,

@@ -334,11 +334,6 @@ pub enum SnapshotOutcome {
 }
 
 impl SnapshotOutcome {
-    /// True when any part of the recording was reused.
-    pub fn is_hit(self) -> bool {
-        !matches!(self, SnapshotOutcome::Miss)
-    }
-
     /// Steps served from the recording (0 for a miss).
     pub fn skipped_steps(self) -> u64 {
         match self {

@@ -160,11 +160,6 @@ impl Program {
         self.blocks.len()
     }
 
-    /// Number of functions (function 0 is the entry point).
-    pub fn function_count(&self) -> usize {
-        self.functions.len()
-    }
-
     /// Paper-style static edge count: every direct CFG edge, plus one
     /// return edge per call site. [`Program::static_edge_pairs`] can be
     /// larger because a return edge fans out per callee return block.
