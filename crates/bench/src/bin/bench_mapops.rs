@@ -753,7 +753,7 @@ fn prepare_region(size: usize) -> (MapBuffer<u8>, MapBuffer<u8>) {
         classify_slice(slice);
         classify_slice(slice);
     }
-    let mut virgin = MapBuffer::<u8>::filled(size, 0xFF);
+    let mut virgin = MapBuffer::<u8>::zeroed(size);
     let _ = bigmap_core::diff::compare_region(cur.as_slice(), virgin.as_mut_slice());
     (cur, virgin)
 }
@@ -807,7 +807,7 @@ fn prepare_density_region(
         classify_slice(slice);
         classify_slice(slice);
     }
-    let mut virgin = MapBuffer::<u8>::filled(size, 0xFF);
+    let mut virgin = MapBuffer::<u8>::zeroed(size);
     let _ = bigmap_core::diff::compare_region(cur.as_slice(), virgin.as_mut_slice());
     (cur, virgin, slots)
 }

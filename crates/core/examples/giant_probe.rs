@@ -44,7 +44,7 @@ fn main() {
             *b = (off as u8) | 1;
         }
     }
-    let mut virgin = MapBuffer::<u8>::filled(size, 0xFF);
+    let mut virgin = MapBuffer::<u8>::zeroed(size);
     let table = kernels::active();
 
     for _ in 0..3 {

@@ -1,28 +1,41 @@
-//! Page-aligned, huge-page-backed, NUMA-placed map buffers (§IV-E and the
-//! giant-map regime).
+//! Lazily-faulted, huge-page-aligned, NUMA-placed map buffers (§IV-E and
+//! the giant-map regime).
 //!
-//! Large coverage maps occupy many DTLB slots; the paper's final §IV-E
-//! optimization backs the index and coverage bitmaps with huge pages to cut
-//! page-walk overhead. This module implements three backends behind one
-//! policy knob (`BIGMAP_HUGE`):
+//! Every map-sized buffer encodes "never seen" as zero — the two-level
+//! index stores `slot + 1`, the virgin maps store seen bits, the journal's
+//! epoch stamps start at 0 — so a [`MapBuffer`] needs no fill. On Linux
+//! each one is a single anonymous `mmap` that the kernel faults in, zeroed,
+//! on first touch: a 256 MiB map costs what a campaign touches. The mapping
+//! over-reserves by one huge page and unmaps the unaligned head and tail,
+//! so every buffer starts on a 2 MiB boundary, and its page advice is
+//! issued before the first touch, so transparent huge pages can actually
+//! serve it. Other targets use one zeroed heap allocation. The
+//! `BIGMAP_HUGE` policy picks the flags and advice:
 //!
-//! * **`explicit`** — `mmap(MAP_HUGETLB)` against the hugetlbfs pool,
-//!   trying 1 GiB pages first for gigantic buffers and 2 MiB pages
-//!   otherwise. Reservation can fail at any moment (empty pool, fragmented
-//!   host, unsupported kernel), so the allocator falls back to the THP path
+//! * **`explicit`** — `MAP_HUGETLB`, 1 GiB pages first for gigantic
+//!   buffers, else 2 MiB. Reservation can fail at any moment (empty pool,
+//!   unsupported kernel), so the allocator falls back to the THP mapping
 //!   and records the fallback — never an error.
-//! * **`thp`** (default) — `alloc_zeroed` aligned to the huge-page size
-//!   plus a best-effort `madvise(MADV_HUGEPAGE)`. The advice comes too
-//!   late to matter on most hosts: std zero-fills over-aligned layouts
-//!   itself, so every page is already faulted in on 4 KiB pages before
-//!   `madvise` runs (a 64 MiB buffer shows +64 MiB RSS and 0 kB
-//!   `AnonHugePages` on a `transparent_hugepage=madvise` host). `thp`
-//!   therefore means *advised*, not *served*; advising before the first
-//!   touch is a separate change that needs its own end-to-end
-//!   measurement.
-//! * **`off`** — plain pages, with `madvise(MADV_NOHUGEPAGE)` so even a
-//!   `transparent_hugepage=always` host does not promote the range. The
-//!   control arm for benchmarking.
+//! * **`thp`** (default) — `madvise(MADV_HUGEPAGE)`.
+//! * **`off`** — `madvise(MADV_NOHUGEPAGE)`, so even a
+//!   `transparent_hugepage=always` host measures plain pages. The control
+//!   arm for benchmarking.
+//!
+//! The coverage map and the journal stamps take that policy
+//! ([`MapBuffer::zeroed`]): they are written every exec and indexed by
+//! slot (Table I). Two buffers always take base pages
+//! (`MapBuffer::zeroed_with(len, HugePolicy::Off)`), each on a measurement
+//! on a `transparent_hugepage=madvise` host:
+//!
+//! * the two-level index, addressed by hashed key: writing 2,223 random
+//!   keys (ngram-256m's `used_len`) into a 1 GiB mapping took 176–973 ms
+//!   of faults and left 1,020 MiB resident when advised, 5.7 ms and
+//!   8.9 MiB (one base page per key) when not;
+//! * the virgin maps, read by the fused classify+compare in lockstep with
+//!   a masked store to the coverage map at the same offset: with both on
+//!   2 MiB pages the two addresses share every physical bit below 21, and
+//!   that pass ran about 40% slower, costing afl-flat-2m about a fifth of
+//!   its execs/s.
 //!
 //! Which backend each buffer went through is recorded per buffer
 //! ([`MapBuffer::backend`]) and in process-wide counters
@@ -37,7 +50,6 @@
 //! scheduler migrates the thread. Every NUMA path degrades to a recorded
 //! no-op on single-node hosts, denied syscalls and non-Linux builds.
 
-use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::cell::Cell;
 use std::fmt;
 use std::marker::PhantomData;
@@ -148,21 +160,18 @@ pub fn parse_numa(raw: Option<&str>) -> NumaPolicy {
 }
 
 /// The backend an allocation went through — what the telemetry layer
-/// reports per buffer. The explicit variants are served pages; [`Thp`]
-/// records only that the range was advised (see the module docs).
-///
-/// [`Thp`]: AllocBackend::Thp
+/// reports per buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocBackend {
     /// `mmap(MAP_HUGETLB | MAP_HUGE_1GB)` gigantic pages.
     ExplicitGigantic,
     /// `mmap(MAP_HUGETLB)` 2 MiB hugetlb pages.
     ExplicitHuge,
-    /// Heap allocation advised into transparent huge pages (advice only:
-    /// the pages may already be faulted in on 4 KiB pages).
+    /// A mapping advised into transparent huge pages before first touch;
+    /// the kernel serves them where it can.
     Thp,
-    /// Heap allocation on plain pages (small buffer, `off` policy, or a
-    /// host without huge-page support).
+    /// A mapping on base pages (sub-huge-page buffer, `off` policy, the
+    /// two-level index or a virgin map).
     Plain,
 }
 
@@ -424,7 +433,7 @@ pub fn numa_pin_fails() -> u64 {
 ///
 /// `T` is restricted (via the sealed [`MapElement`] trait) to plain integer
 /// element types for which the all-zeroes bit pattern is a valid value,
-/// which is what makes zero-initialized allocation sound.
+/// which is what makes a fresh zero-page mapping a valid buffer.
 ///
 /// # Examples
 ///
@@ -439,8 +448,7 @@ pub fn numa_pin_fails() -> u64 {
 pub struct MapBuffer<T: MapElement> {
     ptr: *mut T,
     len: usize,
-    /// Bytes covered by the backing `mmap`, or 0 for heap allocations —
-    /// tells `Drop` whether to `munmap` or `dealloc`.
+    /// Bytes of the backing region `ptr` starts, released on drop.
     mapped: usize,
     backend: AllocBackend,
     fell_back: bool,
@@ -479,8 +487,8 @@ impl<T: MapElement> MapBuffer<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `len` is zero or if the allocation size overflows `isize`.
-    /// Aborts (via [`handle_alloc_error`]) if the allocator fails.
+    /// Panics if `len` is zero, if the allocation size overflows `isize`
+    /// or if the kernel refuses the mapping.
     pub fn zeroed(len: usize) -> Self {
         Self::zeroed_with(len, huge_policy())
     }
@@ -491,114 +499,44 @@ impl<T: MapElement> MapBuffer<T> {
     /// Every policy yields a correctly aligned, fully zeroed buffer; only
     /// the backing pages differ. When `policy` asks for explicit huge pages
     /// and the host cannot serve them, the buffer silently degrades to the
-    /// THP path and [`MapBuffer::fell_back`] reports it.
+    /// THP mapping and [`MapBuffer::fell_back`] reports it.
     ///
     /// # Panics
     ///
-    /// Panics if `len` is zero or if the allocation size overflows `isize`.
+    /// As [`MapBuffer::zeroed`].
     pub fn zeroed_with(len: usize, policy: HugePolicy) -> Self {
         assert!(len > 0, "MapBuffer length must be non-zero");
-        let layout = Self::layout(len);
-        let bytes = layout.size();
+        let bytes = len
+            .checked_mul(std::mem::size_of::<T>())
+            .filter(|&b| b <= isize::MAX as usize - 2 * HUGE_PAGE_BYTES)
+            .expect("MapBuffer size overflow");
+        let huge = bytes >= HUGE_PAGE_BYTES;
 
-        let mut fell_back = false;
-        if policy == HugePolicy::Explicit && bytes >= HUGE_PAGE_BYTES {
-            if let Some(buf) = Self::try_explicit(len, bytes) {
-                bind_region(buf.ptr.cast(), buf.mapped);
-                ALLOC_BACKENDS[buf.backend.slot()].incr();
-                return buf;
-            }
-            fell_back = true;
+        let explicit = (policy == HugePolicy::Explicit && huge).then(|| sys::map_hugetlb(bytes));
+        let fell_back = explicit == Some(None);
+        if fell_back {
             HUGE_FALLBACKS.incr();
         }
-
-        // Heap path: THP advice for `thp` (and the explicit fallback),
-        // active THP opt-out for `off`.
-        // SAFETY: layout has non-zero size (len > 0, size_of::<T>() >= 1).
-        let raw = unsafe { alloc_zeroed(layout) };
-        if raw.is_null() {
-            handle_alloc_error(layout);
-        }
-        let backend = match policy {
-            HugePolicy::Off => {
-                advise_no_huge_pages(raw, bytes);
-                AllocBackend::Plain
-            }
-            _ if bytes >= HUGE_PAGE_BYTES => {
-                advise_huge_pages(raw, bytes);
+        let (ptr, mapped, backend) = explicit.flatten().unwrap_or_else(|| {
+            let thp = huge && policy != HugePolicy::Off;
+            let (ptr, mapped) = sys::map_anonymous(bytes, thp);
+            let backend = if thp {
                 AllocBackend::Thp
-            }
-            // Sub-huge-page buffers: nothing to promote.
-            _ => AllocBackend::Plain,
-        };
-        bind_region(raw.cast(), bytes);
+            } else {
+                AllocBackend::Plain
+            };
+            (ptr, mapped, backend)
+        });
+        bind_region(ptr, mapped);
         ALLOC_BACKENDS[backend.slot()].incr();
         MapBuffer {
-            ptr: raw.cast::<T>(),
+            ptr: ptr.cast::<T>(),
             len,
-            mapped: 0,
+            mapped,
             backend,
             fell_back,
             _marker: PhantomData,
         }
-    }
-
-    /// Attempts the explicit hugetlb backend: 1 GiB pages when `bytes` is a
-    /// whole multiple of the gigantic-page size, else 2 MiB pages. `None`
-    /// when the kernel refuses (no pool, no support) — the caller falls
-    /// back.
-    #[cfg(target_os = "linux")]
-    fn try_explicit(len: usize, bytes: usize) -> Option<Self> {
-        let mut attempts: [Option<(usize, libc::c_int, AllocBackend)>; 2] = [None, None];
-        if bytes.is_multiple_of(GIGANTIC_PAGE_BYTES) {
-            attempts[0] = Some((bytes, libc::MAP_HUGE_1GB, AllocBackend::ExplicitGigantic));
-        }
-        let huge_rounded = bytes.div_ceil(HUGE_PAGE_BYTES) * HUGE_PAGE_BYTES;
-        attempts[1] = Some((huge_rounded, libc::MAP_HUGE_2MB, AllocBackend::ExplicitHuge));
-        for (mapped, size_flag, backend) in attempts.into_iter().flatten() {
-            // SAFETY: anonymous private mapping with no address hint; the
-            // kernel either returns a fresh zeroed region of `mapped` bytes
-            // or MAP_FAILED.
-            let addr = unsafe {
-                libc::mmap(
-                    std::ptr::null_mut(),
-                    mapped,
-                    libc::PROT_READ | libc::PROT_WRITE,
-                    libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_HUGETLB | size_flag,
-                    -1,
-                    0,
-                )
-            };
-            if addr != libc::MAP_FAILED {
-                debug_assert_eq!(addr as usize % HUGE_PAGE_BYTES, 0);
-                return Some(MapBuffer {
-                    ptr: addr.cast::<T>(),
-                    len,
-                    mapped,
-                    backend,
-                    fell_back: false,
-                    _marker: PhantomData,
-                });
-            }
-        }
-        None
-    }
-
-    /// Non-Linux stub: explicit huge pages are unavailable, always fall
-    /// back.
-    #[cfg(not(target_os = "linux"))]
-    fn try_explicit(_len: usize, _bytes: usize) -> Option<Self> {
-        None
-    }
-
-    /// Allocates a buffer of `len` elements with every element set to `fill`.
-    ///
-    /// BigMap's index bitmap uses this with `u32::MAX` (the paper's `-1`
-    /// sentinel) — the single whole-map touch of the entire campaign.
-    pub fn filled(len: usize, fill: T) -> Self {
-        let mut buf = Self::zeroed(len);
-        buf.as_mut_slice().fill(fill);
-        buf
     }
 
     /// The backend this buffer went through.
@@ -607,23 +545,10 @@ impl<T: MapElement> MapBuffer<T> {
         self.backend
     }
 
-    /// Whether an explicit-huge-page request degraded to the THP path.
+    /// Whether an explicit-huge-page request degraded to the THP mapping.
     #[inline]
     pub fn fell_back(&self) -> bool {
         self.fell_back
-    }
-
-    /// Number of elements.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the buffer holds zero elements. Always `false` (construction
-    /// rejects empty buffers); provided for API completeness.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// View of the whole buffer.
@@ -640,41 +565,13 @@ impl<T: MapElement> MapBuffer<T> {
         // exclusivity.
         unsafe { std::slice::from_raw_parts_mut(self.ptr, self.len) }
     }
-
-    /// Raw pointer to the first element (used by the non-temporal reset).
-    #[inline]
-    pub fn as_ptr(&self) -> *const T {
-        self.ptr
-    }
-
-    /// Raw mutable pointer to the first element.
-    #[inline]
-    pub fn as_mut_ptr(&mut self) -> *mut T {
-        self.ptr
-    }
-
-    fn layout(len: usize) -> Layout {
-        let size = len
-            .checked_mul(std::mem::size_of::<T>())
-            .expect("MapBuffer size overflow");
-        Layout::from_size_align(size, HUGE_PAGE_BYTES).expect("valid layout")
-    }
 }
 
 impl<T: MapElement> Drop for MapBuffer<T> {
     fn drop(&mut self) {
-        if self.mapped > 0 {
-            // SAFETY: [ptr, ptr+mapped) is exactly the region mmap returned
-            // in `try_explicit`.
-            unsafe {
-                libc::munmap(self.ptr.cast(), self.mapped);
-            }
-        } else {
-            let layout = Self::layout(self.len);
-            // SAFETY: ptr was allocated with exactly this layout in
-            // `zeroed_with`.
-            unsafe { dealloc(self.ptr.cast(), layout) }
-        }
+        // SAFETY: [ptr, ptr+mapped) is exactly the region `zeroed_with` got
+        // from `sys`, released once.
+        unsafe { sys::unmap(self.ptr.cast(), self.mapped) }
     }
 }
 
@@ -712,40 +609,124 @@ impl<T: MapElement> Clone for MapBuffer<T> {
     }
 }
 
-// ------------------------------------------------------------------ advice
+// -------------------------------------------------------------- the mapping
 
-/// Best-effort request to back `[ptr, ptr+len)` with transparent huge pages.
-///
-/// A failed or unsupported call is silently ignored: huge pages are an
-/// optimization (§IV-E), never a correctness requirement.
 #[cfg(target_os = "linux")]
-fn advise_huge_pages(ptr: *mut u8, len: usize) {
-    if len >= HUGE_PAGE_BYTES {
-        // SAFETY: the range [ptr, ptr+len) is a live allocation we own;
-        // MADV_HUGEPAGE does not alter memory contents.
-        unsafe {
-            libc::madvise(ptr.cast(), len, libc::MADV_HUGEPAGE);
+mod sys {
+    use super::{AllocBackend, GIGANTIC_PAGE_BYTES, HUGE_PAGE_BYTES};
+
+    fn mmap(bytes: usize, flags: libc::c_int) -> Option<*mut u8> {
+        // SAFETY: anonymous private mapping with no address hint; the kernel
+        // either returns a fresh zeroed region of `bytes` or MAP_FAILED.
+        let addr = unsafe {
+            libc::mmap(
+                std::ptr::null_mut(),
+                bytes,
+                libc::PROT_READ | libc::PROT_WRITE,
+                libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | flags,
+                -1,
+                0,
+            )
+        };
+        (addr != libc::MAP_FAILED).then_some(addr.cast())
+    }
+
+    /// `MAP_HUGETLB` with 1 GiB pages when `bytes` is a whole multiple of
+    /// the gigantic-page size, else 2 MiB pages. `None` when the kernel
+    /// refuses (no pool, no support).
+    pub(super) fn map_hugetlb(bytes: usize) -> Option<(*mut u8, usize, AllocBackend)> {
+        if bytes.is_multiple_of(GIGANTIC_PAGE_BYTES) {
+            if let Some(ptr) = mmap(bytes, libc::MAP_HUGETLB | libc::MAP_HUGE_1GB) {
+                return Some((ptr, bytes, AllocBackend::ExplicitGigantic));
+            }
         }
+        let mapped = bytes.next_multiple_of(HUGE_PAGE_BYTES);
+        let ptr = mmap(mapped, libc::MAP_HUGETLB | libc::MAP_HUGE_2MB)?;
+        Some((ptr, mapped, AllocBackend::ExplicitHuge))
+    }
+
+    /// A lazily-faulted mapping of `bytes` rounded up to whole huge pages,
+    /// starting on a huge-page boundary, advised into THP promotion (`thp`)
+    /// or out of it before anything touches it.
+    pub(super) fn map_anonymous(bytes: usize, thp: bool) -> (*mut u8, usize) {
+        let mapped = bytes.next_multiple_of(HUGE_PAGE_BYTES);
+        let raw = mmap(mapped + HUGE_PAGE_BYTES, 0).expect("MapBuffer: mmap refused");
+        let head = raw.align_offset(HUGE_PAGE_BYTES);
+        // SAFETY: `head < HUGE_PAGE_BYTES`, so the aligned region and the two
+        // page-aligned trims released here all lie in the reservation. The
+        // advice is best-effort: huge pages are an optimization (§IV-E),
+        // never a correctness requirement.
+        unsafe {
+            let ptr = raw.add(head);
+            if head > 0 {
+                libc::munmap(raw.cast(), head);
+            }
+            libc::munmap(ptr.add(mapped).cast(), HUGE_PAGE_BYTES - head);
+            let advice = if thp {
+                libc::MADV_HUGEPAGE
+            } else {
+                libc::MADV_NOHUGEPAGE
+            };
+            libc::madvise(ptr.cast(), mapped, advice);
+            (ptr, mapped)
+        }
+    }
+
+    /// # Safety
+    ///
+    /// `[ptr, ptr+mapped)` must be a region from this module, released once.
+    pub(super) unsafe fn unmap(ptr: *mut u8, mapped: usize) {
+        // SAFETY: the caller's contract.
+        unsafe { libc::munmap(ptr.cast(), mapped) };
     }
 }
 
 #[cfg(not(target_os = "linux"))]
-fn advise_huge_pages(_ptr: *mut u8, _len: usize) {}
+mod sys {
+    use super::{AllocBackend, HUGE_PAGE_BYTES};
+    use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 
-/// Best-effort opt-out of THP promotion for the `off` policy's control
-/// buffers, so a `transparent_hugepage=always` host measures plain pages.
-#[cfg(target_os = "linux")]
-fn advise_no_huge_pages(ptr: *mut u8, len: usize) {
-    if len >= HUGE_PAGE_BYTES {
-        // SAFETY: as `advise_huge_pages`; MADV_NOHUGEPAGE is advice only.
-        unsafe {
-            libc::madvise(ptr.cast(), len, libc::MADV_NOHUGEPAGE);
+    fn layout(bytes: usize) -> Layout {
+        Layout::from_size_align(bytes, HUGE_PAGE_BYTES).expect("valid layout")
+    }
+
+    pub(super) fn map_hugetlb(_bytes: usize) -> Option<(*mut u8, usize, AllocBackend)> {
+        None
+    }
+
+    /// A zeroed heap allocation: page advice is a Linux facility.
+    pub(super) fn map_anonymous(bytes: usize, _thp: bool) -> (*mut u8, usize) {
+        // SAFETY: bytes > 0 (MapBuffer rejects empty buffers).
+        let ptr = unsafe { alloc_zeroed(layout(bytes)) };
+        if ptr.is_null() {
+            handle_alloc_error(layout(bytes));
         }
+        (ptr, bytes)
+    }
+
+    /// # Safety
+    ///
+    /// `[ptr, ptr+bytes)` must be a region from this module, released once.
+    pub(super) unsafe fn unmap(ptr: *mut u8, bytes: usize) {
+        // SAFETY: the caller's contract.
+        unsafe { dealloc(ptr, layout(bytes)) }
     }
 }
 
-#[cfg(not(target_os = "linux"))]
-fn advise_no_huge_pages(_ptr: *mut u8, _len: usize) {}
+/// Pages of `region` currently resident, by `mincore`: how residency tests
+/// tell a lazily-faulted buffer from a filled one. `region` must start on
+/// a huge-page boundary.
+#[cfg(all(test, target_os = "linux"))]
+pub(crate) fn resident_pages<T>(region: &[T]) -> usize {
+    let len = std::mem::size_of_val(region);
+    // One byte per 4 KiB covers every page of the range at any base page
+    // size.
+    let mut vec = vec![0u8; len.div_ceil(4096)];
+    // SAFETY: `region` lies in a live mapping and `vec` is long enough.
+    let rc = unsafe { libc::mincore(region.as_ptr() as *mut _, len, vec.as_mut_ptr()) };
+    assert_eq!(rc, 0, "mincore failed");
+    vec.iter().filter(|&&b| b & 1 != 0).count()
+}
 
 // -------------------------------------------------------------------- NUMA
 
@@ -817,10 +798,15 @@ mod tests {
         assert!(!buf.is_empty());
     }
 
+    #[cfg(target_os = "linux")]
     #[test]
-    fn filled_sets_sentinel() {
-        let buf: MapBuffer<u32> = MapBuffer::filled(1024, u32::MAX);
-        assert!(buf.iter().all(|&w| w == u32::MAX));
+    fn buffers_are_faulted_in_only_where_touched() {
+        let mut buf: MapBuffer<u8> = MapBuffer::zeroed_with(64 << 20, HugePolicy::Off);
+        assert_eq!(resident_pages(&buf), 0, "a fresh buffer is not filled");
+        buf[0] = 1;
+        buf[(40 << 20) + 5] = 1;
+        assert_eq!(resident_pages(&buf), 2);
+        assert_eq!(resident_pages(&buf[2 << 20..4 << 20]), 0);
     }
 
     #[test]
@@ -906,7 +892,7 @@ mod tests {
     #[test]
     fn sub_huge_page_buffers_never_use_hugetlb() {
         // Explicit policy on a 4 KiB buffer: hugetlb would waste a full
-        // 2 MiB page, so the small-buffer path stays on the heap and is
+        // 2 MiB page, so the small buffer takes a base-page mapping and is
         // not a fallback.
         let buf: MapBuffer<u8> = MapBuffer::zeroed_with(4096, HugePolicy::Explicit);
         assert_eq!(buf.backend(), AllocBackend::Plain);
@@ -999,8 +985,8 @@ mod tests {
     #[test]
     fn explicit_buffers_survive_clone_and_drop() {
         // Clone of an explicit (or fallen-back) buffer re-allocates under
-        // the current thread policy; both drops must take the right
-        // deallocation path (munmap vs dealloc) without corruption.
+        // the current thread policy; both drops must release exactly their
+        // own mapping without corruption.
         with_huge_policy(HugePolicy::Explicit, || {
             let mut a: MapBuffer<u8> = MapBuffer::zeroed(4 << 20);
             a[123] = 45;

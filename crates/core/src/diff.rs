@@ -3,35 +3,37 @@
 //! This is the engine behind the *compare* operation (AFL's
 //! `has_new_bits`) and the §IV-E merged *classify + compare*: a single pass
 //! over the active region, eight map slots at a time, with a fast skip for
-//! all-zero words.
+//! words that bring no new bits. The virgin side holds seen bits
+//! ([`crate::virgin`]) and a virgin byte is written only when it gains
+//! bits, so never-hit slots stay zero pages.
 
 use crate::classify::{bucket_of, classify_word};
 use crate::traits::NewCoverage;
 
 #[inline]
-pub(crate) fn diff_byte(cur: u8, virgin: &mut u8, verdict: &mut NewCoverage) {
-    if cur != 0 && (cur & *virgin) != 0 {
-        let v = if *virgin == 0xFF {
+pub(crate) fn diff_byte(cur: u8, seen: &mut u8, verdict: &mut NewCoverage) {
+    if cur & !*seen != 0 {
+        let v = if *seen == 0 {
             NewCoverage::NewEdge
         } else {
             NewCoverage::NewBucket
         };
         *verdict = (*verdict).max(v);
-        *virgin &= !cur;
+        *seen |= cur;
     }
 }
 
 #[inline]
-pub(crate) fn diff_word(cur: u64, virgin: &mut u64, verdict: &mut NewCoverage) {
-    if cur != 0 && (cur & *virgin) != 0 {
+pub(crate) fn diff_word(cur: u64, seen: &mut u64, verdict: &mut NewCoverage) {
+    if cur & !*seen != 0 {
         if *verdict < NewCoverage::NewEdge {
             // Inspect bytes only when the word-level test fires — the
             // AFL fast path.
             let cur_b = cur.to_ne_bytes();
-            let vir_b = virgin.to_ne_bytes();
+            let seen_b = seen.to_ne_bytes();
             for i in 0..8 {
-                if cur_b[i] != 0 && (cur_b[i] & vir_b[i]) != 0 {
-                    if vir_b[i] == 0xFF {
+                if cur_b[i] & !seen_b[i] != 0 {
+                    if seen_b[i] == 0 {
                         *verdict = NewCoverage::NewEdge;
                         break;
                     }
@@ -39,12 +41,12 @@ pub(crate) fn diff_word(cur: u64, virgin: &mut u64, verdict: &mut NewCoverage) {
                 }
             }
         }
-        *virgin &= !cur;
+        *seen |= cur;
     }
 }
 
 /// Diffs an already-classified region against the matching virgin region,
-/// clearing the virgin bits now covered. Returns the strongest novelty
+/// setting the seen bits now covered. Returns the strongest novelty
 /// verdict found.
 ///
 /// # Panics
@@ -190,29 +192,29 @@ mod tests {
     #[test]
     fn first_touch_is_new_edge() {
         let cur = vec![0, 1, 0, 0];
-        let mut virgin = vec![0xFF; 4];
+        let mut virgin = vec![0; 4];
         assert_eq!(compare_region(&cur, &mut virgin), NewCoverage::NewEdge);
-        assert_eq!(virgin, vec![0xFF, 0xFE, 0xFF, 0xFF]);
+        assert_eq!(virgin, vec![0, 1, 0, 0]);
     }
 
     #[test]
     fn repeat_touch_is_none() {
         let cur = vec![0, 1, 0, 0];
-        let mut virgin = vec![0xFF; 4];
+        let mut virgin = vec![0; 4];
         compare_region(&cur, &mut virgin);
         assert_eq!(compare_region(&cur, &mut virgin), NewCoverage::None);
     }
 
     #[test]
     fn new_bucket_on_known_slot() {
-        let mut virgin = vec![0xFF; 4];
+        let mut virgin = vec![0; 4];
         compare_region(&[0, 1, 0, 0], &mut virgin);
         // Same slot, higher bucket (2): new bucket, not new edge.
         assert_eq!(
             compare_region(&[0, 2, 0, 0], &mut virgin),
             NewCoverage::NewBucket
         );
-        // Third time with bucket already cleared: nothing.
+        // Third time with the bucket already seen: nothing.
         assert_eq!(
             compare_region(&[0, 2, 0, 0], &mut virgin),
             NewCoverage::None
@@ -221,7 +223,7 @@ mod tests {
 
     #[test]
     fn new_edge_dominates_new_bucket() {
-        let mut virgin = vec![0xFF; 16];
+        let mut virgin = vec![0; 16];
         compare_region(
             [1; 16][..8]
                 .to_vec()
@@ -247,12 +249,12 @@ mod tests {
         raw[64] = 200;
         raw[255] = 1;
         let mut split_cur = raw.clone();
-        let mut split_virgin = vec![0xFF; 256];
+        let mut split_virgin = vec![0; 256];
         classify_slice(&mut split_cur);
         let split_verdict = compare_region(&split_cur, &mut split_virgin);
 
         let mut merged_cur = raw.clone();
-        let mut merged_virgin = vec![0xFF; 256];
+        let mut merged_virgin = vec![0; 256];
         let merged_verdict = classify_and_compare_region(&mut merged_cur, &mut merged_virgin);
 
         assert_eq!(split_verdict, merged_verdict);
@@ -263,7 +265,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn length_mismatch_panics() {
-        compare_region(&[0; 4], &mut [0xFF; 8]);
+        compare_region(&[0; 4], &mut [0; 8]);
     }
 
     #[test]
@@ -283,7 +285,7 @@ mod tests {
                 cur_buf[cur_off..cur_off + len].copy_from_slice(&raw[..len]);
                 let mut vir_buf = vec![0u8; len + 8];
                 for (i, v) in vir_buf.iter_mut().enumerate() {
-                    *v = if i % 3 == 0 { 0xFF } else { (i % 251) as u8 };
+                    *v = if i % 3 == 0 { 0 } else { (i % 251) as u8 };
                 }
 
                 // Byte-wise model.
@@ -324,8 +326,8 @@ mod tests {
             // fold it in first, so virgin bytes are a realistic mix.
             let n = raw.len().min(prior.len());
             let raw = &raw[..n];
-            let mut virgin_a = vec![0xFFu8; n];
-            let mut virgin_b = vec![0xFFu8; n];
+            let mut virgin_a = vec![0u8; n];
+            let mut virgin_b = vec![0u8; n];
             let mut prior_c = prior[..n].to_vec();
             classify_slice(&mut prior_c);
             compare_region(&prior_c, &mut virgin_a);
@@ -357,14 +359,14 @@ mod tests {
             let mut model = NewCoverage::None;
             for i in 0..n {
                 let c = cur[i];
-                if c != 0 && (c & model_virgin[i]) != 0 {
-                    let v = if model_virgin[i] == 0xFF {
+                if c & !model_virgin[i] != 0 {
+                    let v = if model_virgin[i] == 0 {
                         NewCoverage::NewEdge
                     } else {
                         NewCoverage::NewBucket
                     };
                     model = model.max(v);
-                    model_virgin[i] &= !c;
+                    model_virgin[i] |= c;
                 }
             }
 

@@ -90,11 +90,12 @@ pub const KNOBS: &[Knob] = &[
         name: "BIGMAP_HUGE",
         values: "`explicit` \\| `thp` \\| `off`",
         default: "`thp`",
-        description: "Map-buffer page backend: `explicit` reserves hugetlbfs pages via \
-                      `mmap(MAP_HUGETLB)` (1 GiB pages where the size allows, else 2 MiB) and \
-                      falls back to `thp` with a telemetry-visible record when the pool is \
-                      empty; `thp` advises transparent huge pages; `off` opts out of THP — the \
-                      benchmark control arm.",
+        description: "Page backend of the coverage map and journal stamps (the two-level \
+                      index and the virgin maps always take base pages): `explicit` \
+                      reserves hugetlbfs pages via `mmap(MAP_HUGETLB)` (1 GiB pages where the \
+                      size allows, else 2 MiB) and falls back to `thp` with a telemetry-visible \
+                      record when the pool is empty; `thp` advises transparent huge pages \
+                      before first touch; `off` opts out of THP — the benchmark control arm.",
     },
     Knob {
         name: "BIGMAP_NUMA",

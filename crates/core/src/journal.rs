@@ -18,9 +18,9 @@
 //!   is a single epoch increment — clearing a per-slot "seen" bitmap (or
 //!   the stamps themselves) every exec would itself be an `O(used)` pass
 //!   and reintroduce exactly the cost the journal exists to remove. On
-//!   `u16` wraparound (once every 65 535 execs) the stamps are refilled
-//!   densely; amortized over the wrap period that is well under a byte per
-//!   exec.
+//!   `u16` wraparound (once every 65 535 execs) the stamps are cleared up
+//!   to the highest slot ever stamped (never past BigMap's `used_key`),
+//!   so the clear never faults in stamp pages no exec touched.
 //! * **Run-length encoding.** Condensation assigns slots in discovery
 //!   order, so the edges of one basic-block chain land in consecutive
 //!   condensed slots and are touched back-to-back on every later exec.
@@ -116,7 +116,9 @@ pub struct TouchJournal {
     /// Total distinct slots journaled this exec (sum of run lengths).
     touched: usize,
     /// Per-slot epoch stamp; `epochs[s] == epoch` iff `s` is journaled.
-    epochs: MapBuffer<u16>,
+    pub(crate) epochs: MapBuffer<u16>,
+    /// One past the highest slot ever stamped (`epochs[stamped..]` is 0).
+    stamped: usize,
     /// Current exec's epoch. Never 0 — 0 is the "never stamped" state.
     epoch: u16,
     /// Bound on `runs.len()`.
@@ -149,6 +151,7 @@ impl TouchJournal {
             runs: Vec::with_capacity(capacity),
             touched: 0,
             epochs: MapBuffer::zeroed(map_len),
+            stamped: 0,
             epoch: 1,
             capacity,
             overflowed: false,
@@ -169,6 +172,7 @@ impl TouchJournal {
         let stamp = &mut self.epochs[slot as usize];
         if *stamp != self.epoch {
             *stamp = self.epoch;
+            self.stamped = self.stamped.max(slot as usize + 1);
             if let Some(r) = self.runs.last_mut() {
                 if r.end() == slot {
                     r.len += 1;
@@ -188,15 +192,15 @@ impl TouchJournal {
     /// Starts the next exec: forgets this exec's touches in O(1).
     ///
     /// The epoch increment invalidates every stamp at once. On `u16`
-    /// wraparound the stamp array is refilled with zeroes so stale stamps
-    /// from 65 535 execs ago cannot collide with the restarted epoch.
+    /// wraparound the stamped prefix is cleared so stale stamps from
+    /// 65 535 execs ago cannot collide with the restarted epoch.
     pub fn advance(&mut self) {
         self.runs.clear();
         self.touched = 0;
         self.overflowed = false;
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            self.epochs.as_mut_slice().fill(0);
+            self.epochs[..self.stamped].fill(0);
             self.epoch = 1;
         }
     }

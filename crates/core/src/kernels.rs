@@ -39,7 +39,7 @@
 //! let table = kernels::active();
 //! let mut counts = vec![0u8; 4096];
 //! counts[17] = 5;
-//! let mut virgin = vec![0xFFu8; 4096];
+//! let mut virgin = vec![0u8; 4096];
 //! let verdict = table.classify_and_compare(&mut counts, &mut virgin);
 //! assert_eq!(verdict, bigmap_core::NewCoverage::NewEdge);
 //! assert_eq!(counts[17], 8); // 5 hits → bucket [4-7]
@@ -302,7 +302,7 @@ mod x86 {
     use std::arch::x86_64::*;
 
     /// Verdict accumulator mirroring `diff.rs`: once `NewEdge` is found the
-    /// per-block edge test is skipped (virgin clearing still proceeds).
+    /// per-block edge test is skipped (seen bits are still folded in).
     #[inline]
     fn raise(verdict: &mut NewCoverage, v: NewCoverage) {
         if v > *verdict {
@@ -349,8 +349,9 @@ mod x86 {
         classify_slice(&mut counts[blocks * 16..]);
     }
 
-    /// SSE2 compare: 16-byte blocks, `pand` + zero test for the skip path,
-    /// `pcmpeqb` against 0xFF for the new-edge test, `pandn` clear.
+    /// SSE2 compare: 16-byte blocks, `pandn` (`cur & !seen`) + zero test
+    /// for the skip path, `pcmpeqb` against 0 for the new-edge test, `por`
+    /// to fold the bits in.
     pub(super) fn compare_sse2(cur: &[u8], virgin: &mut [u8]) -> NewCoverage {
         assert_eq!(cur.len(), virgin.len(), "region length mismatch");
         let len = cur.len();
@@ -361,26 +362,25 @@ mod x86 {
         // SAFETY: see module-level safety argument.
         unsafe {
             let zero = _mm_setzero_si128();
-            let ff = _mm_set1_epi8(-1);
             for i in 0..blocks {
                 let cp = cur_ptr.add(i * 16).cast::<__m128i>();
                 let vp = vir_ptr.add(i * 16).cast::<__m128i>();
                 let c = _mm_loadu_si128(cp);
                 let v = _mm_loadu_si128(vp);
-                let hits = _mm_and_si128(c, v);
+                let hits = _mm_andnot_si128(v, c);
                 if _mm_movemask_epi8(_mm_cmpeq_epi8(hits, zero)) == 0xFFFF {
                     continue;
                 }
                 if verdict < NewCoverage::NewEdge {
-                    let virgin_ff = _mm_cmpeq_epi8(v, ff);
-                    let edge = _mm_and_si128(hits, virgin_ff);
+                    let never_seen = _mm_cmpeq_epi8(v, zero);
+                    let edge = _mm_and_si128(hits, never_seen);
                     if _mm_movemask_epi8(_mm_cmpeq_epi8(edge, zero)) != 0xFFFF {
                         raise(&mut verdict, NewCoverage::NewEdge);
                     } else {
                         raise(&mut verdict, NewCoverage::NewBucket);
                     }
                 }
-                _mm_storeu_si128(vp, _mm_andnot_si128(c, v));
+                _mm_storeu_si128(vp, _mm_or_si128(c, v));
             }
         }
         let tail = blocks * 16;
@@ -480,9 +480,9 @@ mod x86 {
         classify_slice(&mut counts[blocks * 32..]);
     }
 
-    /// AVX2 compare: 32-byte blocks; `vptest` on `cur & virgin` skips
-    /// no-news blocks without a store, `vpcmpeqb` against 0xFF detects
-    /// brand-new edges, `vpandn` clears covered virgin bits.
+    /// AVX2 compare: 32-byte blocks; `vptest` on `cur & !seen` skips
+    /// no-news blocks without a store, `vpcmpeqb` against 0 detects
+    /// brand-new edges, `vpor` folds the covered bits in.
     pub(super) fn compare_avx2(cur: &[u8], virgin: &mut [u8]) -> NewCoverage {
         // SAFETY: see module-level safety argument.
         unsafe { compare_avx2_body(cur, virgin) }
@@ -498,26 +498,26 @@ mod x86 {
         let vir_ptr = virgin.as_mut_ptr();
         // SAFETY: see module-level safety argument.
         unsafe {
-            let ff = _mm256_set1_epi8(-1);
+            let zero = _mm256_setzero_si256();
             for i in 0..blocks {
                 let cp = cur_ptr.add(i * 32).cast::<__m256i>();
                 let vp = vir_ptr.add(i * 32).cast::<__m256i>();
                 let c = _mm256_loadu_si256(cp);
                 let v = _mm256_loadu_si256(vp);
-                let hits = _mm256_and_si256(c, v);
+                let hits = _mm256_andnot_si256(v, c);
                 if _mm256_testz_si256(hits, hits) != 0 {
                     continue;
                 }
                 if verdict < NewCoverage::NewEdge {
-                    let virgin_ff = _mm256_cmpeq_epi8(v, ff);
-                    let edge = _mm256_and_si256(hits, virgin_ff);
+                    let never_seen = _mm256_cmpeq_epi8(v, zero);
+                    let edge = _mm256_and_si256(hits, never_seen);
                     if _mm256_testz_si256(edge, edge) == 0 {
                         raise(&mut verdict, NewCoverage::NewEdge);
                     } else {
                         raise(&mut verdict, NewCoverage::NewBucket);
                     }
                 }
-                _mm256_storeu_si256(vp, _mm256_andnot_si256(c, v));
+                _mm256_storeu_si256(vp, _mm256_or_si256(c, v));
             }
         }
         let tail = blocks * 32;
@@ -542,7 +542,7 @@ mod x86 {
         let vir_ptr = virgin.as_mut_ptr();
         // SAFETY: see module-level safety argument.
         unsafe {
-            let ff = _mm256_set1_epi8(-1);
+            let zero = _mm256_setzero_si256();
             for i in 0..blocks {
                 let cp = cur_ptr.add(i * 32);
                 let raw = _mm256_loadu_si256(cp.cast::<__m256i>());
@@ -552,7 +552,7 @@ mod x86 {
                 _mm256_maskstore_epi32(cp.cast::<i32>(), changed_lanes(c, raw), c);
                 let vp = vir_ptr.add(i * 32).cast::<__m256i>();
                 let v = _mm256_loadu_si256(vp);
-                let hits = _mm256_and_si256(c, v);
+                let hits = _mm256_andnot_si256(v, c);
                 // This skip branch stays: in steady state virgin already
                 // absorbed the covered bits, so `hits` is almost always
                 // zero and the branch predicts near-perfectly — unlike
@@ -561,15 +561,15 @@ mod x86 {
                     continue;
                 }
                 if verdict < NewCoverage::NewEdge {
-                    let virgin_ff = _mm256_cmpeq_epi8(v, ff);
-                    let edge = _mm256_and_si256(hits, virgin_ff);
+                    let never_seen = _mm256_cmpeq_epi8(v, zero);
+                    let edge = _mm256_and_si256(hits, never_seen);
                     if _mm256_testz_si256(edge, edge) == 0 {
                         raise(&mut verdict, NewCoverage::NewEdge);
                     } else {
                         raise(&mut verdict, NewCoverage::NewBucket);
                     }
                 }
-                _mm256_storeu_si256(vp, _mm256_andnot_si256(c, v));
+                _mm256_storeu_si256(vp, _mm256_or_si256(c, v));
             }
         }
         let tail = blocks * 32;
@@ -651,11 +651,11 @@ mod tests {
             let table = table_for(kind).unwrap();
 
             let mut expect_cur = raw.clone();
-            let mut expect_virgin = vec![0xFFu8; 300];
+            let mut expect_virgin = vec![0u8; 300];
             let expect = classify_and_compare_region(&mut expect_cur, &mut expect_virgin);
 
             let mut got_cur = raw.clone();
-            let mut got_virgin = vec![0xFFu8; 300];
+            let mut got_virgin = vec![0u8; 300];
             let got = table.classify_and_compare(&mut got_cur, &mut got_virgin);
 
             assert_eq!(got, expect, "{kind}: fused verdict");
@@ -681,7 +681,7 @@ mod tests {
     fn verdict_detection_matches_on_edge_vs_bucket() {
         for kind in available() {
             let table = table_for(kind).unwrap();
-            let mut virgin = vec![0xFFu8; 128];
+            let mut virgin = vec![0u8; 128];
             let mut cur = vec![0u8; 128];
             cur[65] = 1;
             assert_eq!(

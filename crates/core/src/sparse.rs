@@ -327,11 +327,11 @@ pub fn classify_runs(counts: &mut [u8], runs: &[SlotRun], table: &KernelTable) {
 /// verdict, same virgin bytes — whenever `runs` cover every nonzero byte of
 /// `cur`, which the touch journal guarantees by construction (untouched
 /// slots are zero after reset, and a zero `cur` byte can neither raise a
-/// verdict nor clear a virgin bit). This includes the
+/// verdict nor set a seen bit). This includes the
 /// `hash_to_last_nonzero` new-coverage semantics for the crash and hang
 /// virgin maps: they diff the same classified region through this entry
 /// point, so a first crash/hang still reports `NewEdge` against its own
-/// all-0xFF virgin state.
+/// never-seen (all-zero) virgin state.
 ///
 /// # Panics
 ///
@@ -580,10 +580,10 @@ mod tests {
 
             // Fused pass vs the dense scalar oracle.
             let mut dense_cur = raw.clone();
-            let mut dense_virgin = vec![0xFFu8; len];
+            let mut dense_virgin = vec![0u8; len];
             let want = classify_and_compare_region(&mut dense_cur, &mut dense_virgin);
             let mut cur = raw.clone();
-            let mut virgin = vec![0xFFu8; len];
+            let mut virgin = vec![0u8; len];
             let got = classify_and_compare_runs(&mut cur, &mut virgin, &runs, table);
             assert_eq!(got, want, "{kind}: fused verdict");
             assert_eq!(cur, dense_cur, "{kind}: classified bytes");

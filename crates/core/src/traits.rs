@@ -93,7 +93,7 @@ pub trait CoverageMap: Send {
     fn classify(&mut self);
 
     /// **Bitmap compare**: diffs the (classified) active region against
-    /// `virgin`, clearing the virgin bits this map now covers.
+    /// `virgin`, setting the seen bits this map now covers.
     ///
     /// `virgin` must have been created with the same [`MapSize`].
     ///

@@ -3,8 +3,10 @@
 //! Three data structures (§IV-A):
 //!
 //! 1. an **index bitmap** mapping each coverage key to a slot in the
-//!    condensed coverage map (`u32::MAX` = the paper's `-1` sentinel:
-//!    "no slot assigned yet"),
+//!    condensed coverage map. An entry stores `slot + 1`, so 0 plays the
+//!    paper's `-1`: "no slot assigned yet". A fresh index therefore needs
+//!    no initialization pass, and only the pages holding touched keys
+//!    are ever faulted in,
 //! 2. a **coverage bitmap** holding the hit counts, densely packed,
 //! 3. **`used_key`**, the next free slot / length of the used prefix.
 //!
@@ -16,7 +18,7 @@
 //! and every per-test-case operation runs over `[0 .. used_key)` instead of
 //! the whole allocation.
 
-use crate::alloc::MapBuffer;
+use crate::alloc::{HugePolicy, MapBuffer};
 use crate::hash::hash_to_last_nonzero;
 use crate::journal::{TouchJournal, DEFAULT_JOURNAL_CAPACITY};
 use crate::kernels;
@@ -24,9 +26,6 @@ use crate::map_size::{MapSize, MapSizeError};
 use crate::sparse::{self, OpPath, SparseMode};
 use crate::traits::{CoverageMap, MapScheme, NewCoverage};
 use crate::virgin::VirginState;
-
-/// The paper's `-1`: "this key has no condensed slot yet".
-pub const UNASSIGNED: u32 = u32::MAX;
 
 /// BigMap's two-level condensed coverage bitmap.
 ///
@@ -76,9 +75,12 @@ pub struct BigMap {
 impl BigMap {
     /// Creates a two-level bitmap for a hash space of `size` keys.
     ///
-    /// This performs the campaign's **single** whole-map touch: the index
-    /// bitmap is filled with the [`UNASSIGNED`] sentinel and the coverage
-    /// bitmap is zeroed (§IV-B "initialize").
+    /// Construction touches no page of the map: every buffer starts as
+    /// untouched zero pages, and zero already means "unassigned" and "not
+    /// hit", so the paper's whole-map `-1` fill (§IV-B "initialize") has
+    /// nothing to do. The index takes base pages whatever the
+    /// `BIGMAP_HUGE` policy, because hashed keys land at random across it
+    /// (see [`crate::alloc`]).
     ///
     /// # Errors
     ///
@@ -103,7 +105,7 @@ impl BigMap {
         journal_capacity: usize,
     ) -> Result<Self, MapSizeError> {
         Ok(BigMap {
-            index: MapBuffer::filled(size.bytes(), UNASSIGNED),
+            index: MapBuffer::zeroed_with(size.bytes(), HugePolicy::Off),
             coverage: MapBuffer::zeroed(size.bytes()),
             used_key: 0,
             size,
@@ -124,13 +126,7 @@ impl BigMap {
     /// The condensed slot assigned to `key`, or `None` if the key has never
     /// been recorded.
     pub fn slot_of_key(&self, key: u32) -> Option<u32> {
-        let entry = self.index[self.fold(key)];
-        (entry != UNASSIGNED).then_some(entry)
-    }
-
-    /// Read-only view of the full index bitmap (tests, cache-trace adapters).
-    pub fn index_slice(&self) -> &[u32] {
-        self.index.as_slice()
+        self.index[self.fold(key)].checked_sub(1)
     }
 
     /// The touch journal of the current exec (tests, benchmarks).
@@ -183,15 +179,16 @@ impl CoverageMap for BigMap {
     #[inline]
     fn record(&mut self, key: u32) {
         // Listing 2: query the index bitmap; assign the next free slot on
-        // first touch; bump the condensed hit count. The sentinel check is
+        // first touch; bump the condensed hit count. The entry holds
+        // `slot + 1`, so an unassigned 0 wraps to `u32::MAX`; that check is
         // almost always not-taken (new-edge discovery is rare), which is
         // why the indirection is nearly free in practice (§IV-D).
         let e = self.fold(key);
-        let mut k = self.index[e];
-        if k == UNASSIGNED {
+        let mut k = self.index[e].wrapping_sub(1);
+        if k == u32::MAX {
             k = self.used_key;
-            self.index[e] = k;
             self.used_key += 1;
+            self.index[e] = self.used_key;
         }
         self.journal.touch(k);
         let v = &mut self.coverage[k as usize];
@@ -599,6 +596,47 @@ mod tests {
         );
     }
 
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn giant_map_is_resident_only_where_touched() {
+        use crate::alloc::{resident_pages, with_huge_policy};
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+        // Off-policy buffers fault in one base page per touched page, so
+        // every bound below is exact arithmetic, not THP luck.
+        with_huge_policy(HugePolicy::Off, || {
+            let mut map = BigMap::new(MapSize::M256).unwrap();
+            let mut virgin = VirginState::new(MapSize::M256);
+            let mut rng = SmallRng::seed_from_u64(16);
+            let keys: Vec<u32> = (0..3_000).map(|_| rng.gen()).collect();
+            for exec in keys.chunks(500) {
+                map.reset();
+                for &k in exec {
+                    map.record(k);
+                }
+                map.classify_and_compare(&mut virgin);
+            }
+            // Drive the journal's epoch through one full wrap.
+            for _ in 0..u16::MAX {
+                map.reset();
+            }
+            map.record(keys[0]);
+            map.classify_and_compare(&mut virgin);
+
+            let used = map.used_len();
+            assert!(used > 2_000, "the keys must reach the map");
+            let pages = |bytes: usize| bytes.div_ceil(4096) + 1;
+            let index = resident_pages(&map.index);
+            let coverage = resident_pages(&map.coverage);
+            let stamps = resident_pages(&map.journal.epochs);
+            let seen = resident_pages(virgin.as_slice());
+            assert!(index <= keys.len(), "index: {index} pages resident");
+            assert!(coverage <= pages(used), "coverage: {coverage} pages");
+            assert!(stamps <= pages(2 * used), "stamps: {stamps} pages");
+            assert!(seen <= pages(used), "virgin: {seen} pages");
+        });
+    }
+
     proptest! {
         #[test]
         fn index_entries_unique_and_below_used_key(
@@ -610,10 +648,10 @@ mod tests {
             }
             let used = map.used_key();
             let mut seen = std::collections::HashSet::new();
-            for &entry in map.index_slice() {
-                if entry != UNASSIGNED {
-                    prop_assert!(entry < used);
-                    prop_assert!(seen.insert(entry), "duplicate slot {entry}");
+            for &entry in map.index.iter() {
+                if let Some(slot) = entry.checked_sub(1) {
+                    prop_assert!(slot < used);
+                    prop_assert!(seen.insert(slot), "duplicate slot {slot}");
                 }
             }
             prop_assert_eq!(seen.len() as u32, used);

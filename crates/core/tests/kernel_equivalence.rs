@@ -27,15 +27,15 @@ fn offset_buf(payload: &[u8], off: usize) -> Vec<u8> {
     buf
 }
 
-/// Virgin contents mixing realistic states: fully-virgin 0xFF bytes,
-/// partially-cleared buckets, and fully-cleared zeros, derived
+/// Virgin (seen-bit) contents mixing realistic states: never-seen zero
+/// bytes, single seen buckets, and arbitrary residue, derived
 /// deterministically from a random seed vector.
 fn virgin_from_seed(seed: &[u8]) -> Vec<u8> {
     seed.iter()
         .map(|&s| match s % 4 {
-            0 | 1 => 0xFF,          // never seen (the NewEdge case)
-            2 => !(1u8 << (s % 8)), // some buckets cleared
-            _ => s,                 // arbitrary residue
+            0 | 1 => 0,          // never seen (the NewEdge case)
+            2 => 1u8 << (s % 8), // one bucket seen
+            _ => !s,             // arbitrary residue
         })
         .collect()
 }
@@ -187,7 +187,7 @@ fn exhaustive_verdict_cases_across_kernels() {
     let len = 67;
     for kind in available() {
         let table = table_for(kind).unwrap();
-        let mut virgin = vec![0xFFu8; len];
+        let mut virgin = vec![0u8; len];
         let mut cur = vec![0u8; len];
         cur[0] = 1;
         cur[33] = 3;

@@ -43,14 +43,14 @@ fn journal_from_bursts(bursts: &[u32]) -> TouchJournal {
     j
 }
 
-/// Virgin contents mixing fully-virgin, partially-cleared and arbitrary
-/// bytes (same scheme as the kernel_equivalence suite).
+/// Virgin (seen-bit) contents mixing never-seen, single-bucket and
+/// arbitrary bytes (same scheme as the kernel_equivalence suite).
 fn virgin_from_seed(seed: &[u8]) -> Vec<u8> {
     seed.iter()
         .map(|&s| match s % 4 {
-            0 | 1 => 0xFF,
-            2 => !(1u8 << (s % 8)),
-            _ => s,
+            0 | 1 => 0,
+            2 => 1u8 << (s % 8),
+            _ => !s,
         })
         .collect()
 }

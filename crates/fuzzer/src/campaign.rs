@@ -16,8 +16,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use bigmap_core::{
-    build_map, CoverageMap, InterpMode, MapScheme, MapSize, NewCoverage, OpKind, OpPath, OpStats,
-    SparseMode, TraceMode, VirginState,
+    build_map, CoverageMap, Crc32, InterpMode, MapScheme, MapSize, NewCoverage, OpKind, OpPath,
+    OpStats, SparseMode, TraceMode, VirginState,
 };
 use bigmap_coverage::{
     BlockCoverage, ContextSensitive, CoverageMetric, EdgeHitCount, Instrumentation, MetricKind,
@@ -1031,15 +1031,7 @@ impl<'p> Campaign<'p> {
     pub fn run_detailed(mut self) -> CampaignOutput {
         let started = Instant::now();
         self.run_loop(started, None::<HookState<fn(&mut Campaign<'p>)>>);
-        let corpus = self.corpus();
-        let crash_inputs = self.crash_inputs.clone();
-        let hang_inputs = self.hang_inputs.clone();
-        CampaignOutput {
-            stats: self.finish(started),
-            corpus,
-            crash_inputs,
-            hang_inputs,
-        }
+        self.finish_detailed(started)
     }
 
     /// Runs the campaign, invoking `on_sync` at the first mutation-batch
@@ -1081,15 +1073,7 @@ impl<'p> Campaign<'p> {
                 f: on_sync,
             }),
         );
-        let corpus = self.corpus();
-        let crash_inputs = self.crash_inputs.clone();
-        let hang_inputs = self.hang_inputs.clone();
-        CampaignOutput {
-            stats: self.finish(started),
-            corpus,
-            crash_inputs,
-            hang_inputs,
-        }
+        self.finish_detailed(started)
     }
 
     /// Fires the worker-panic fault if one is scheduled at the current
@@ -1376,6 +1360,19 @@ impl<'p> Campaign<'p> {
         }
     }
 
+    fn finish_detailed(mut self, started: Instant) -> CampaignOutput {
+        let used = self.map.used_len();
+        let virgin_crcs = [&self.virgin, &self.virgin_crash, &self.virgin_hang]
+            .map(|v| Crc32::checksum(&v.as_slice()[..used]));
+        CampaignOutput {
+            corpus: self.corpus(),
+            crash_inputs: std::mem::take(&mut self.crash_inputs),
+            hang_inputs: std::mem::take(&mut self.hang_inputs),
+            virgin_crcs,
+            stats: self.finish(started),
+        }
+    }
+
     fn finish(mut self, started: Instant) -> CampaignStats {
         // One clock read stops both the wall clock and the ledger's last
         // lap, so the ledger sums to the loop's wall time exactly.
@@ -1427,6 +1424,9 @@ pub struct CampaignOutput {
     pub crash_inputs: Vec<Vec<u8>>,
     /// One hang-triggering input per novel hang.
     pub hang_inputs: Vec<Vec<u8>>,
+    /// CRC32 of the Ok, crash and hang virgin maps over the used prefix
+    /// (`[..stats.used_len]`): the novelty state the campaign ended with.
+    pub virgin_crcs: [u32; 3],
 }
 
 #[cfg(test)]

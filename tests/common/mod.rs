@@ -4,7 +4,9 @@
 //! * [`Fingerprint`] is everything a campaign decided, read from its
 //!   public output: exec count, each queue entry's CRC in admission
 //!   order, discovered slots and used prefix, crash buckets, the crash and
-//!   hang inputs, the hang count and the full coverage timeline.
+//!   hang inputs, the hang count, the full coverage timeline and a CRC of
+//!   each virgin map's used prefix (the novelty state every verdict was
+//!   judged against).
 //! * [`run`] drives one seeded Table II campaign under a [`Policy`]: map
 //!   scheme and size, the `CampaignConfig` sparse / trace / interp
 //!   overrides, a scoped huge-page policy, and an optional mid-run
@@ -53,6 +55,8 @@ pub struct Fingerprint {
     pub hang_inputs: Vec<Vec<u8>>,
     pub hangs: u64,
     pub timeline: Vec<TimelinePoint>,
+    /// CRC32 of the Ok, crash and hang virgin maps over `[..used_len]`.
+    pub virgin_crcs: [u32; 3],
 }
 
 impl Fingerprint {
@@ -69,6 +73,7 @@ impl Fingerprint {
             hang_inputs: output.hang_inputs.clone(),
             hangs: stats.hangs,
             timeline: stats.timeline.points().to_vec(),
+            virgin_crcs: output.virgin_crcs,
         }
     }
 
@@ -88,6 +93,7 @@ impl Fingerprint {
             ("hang_inputs", self.hang_inputs == other.hang_inputs),
             ("hangs", self.hangs == other.hangs),
             ("timeline", self.timeline == other.timeline),
+            ("virgin_crcs", self.virgin_crcs == other.virgin_crcs),
         ]
         .into_iter()
         .filter_map(|(field, same)| (!same).then_some(field))
@@ -363,9 +369,22 @@ pub fn check(policy: Policy) {
     let mut actual = run.fingerprint;
     if policy.scheme == MapScheme::Flat {
         // AFL's flat map has no condensed prefix: it always "uses" the
-        // whole allocation.
+        // whole allocation, and its virgin bytes sit at key positions, not
+        // in discovery order, so their CRCs cannot equal the condensed
+        // reference's. Its novelty state is pinned by the discovered-slot
+        // count and every admission and crash decision instead.
         assert_eq!(actual.used_len, policy.map_size.bytes());
         actual.used_len = expected.used_len;
+        actual.virgin_crcs = expected.virgin_crcs;
+    }
+    if policy.resume_at.is_some() {
+        // A restore rebuilds the virgin maps by replaying the checkpointed
+        // queue, crash and hang inputs, which reproduces every discovered
+        // edge but not every hit-count bucket bit the uninterrupted run
+        // saw (trimmed entries, crashes outside the saved set). The
+        // decisions after the restore are still pinned by every other
+        // field.
+        actual.virgin_crcs = expected.virgin_crcs;
     }
     assert_eq!(
         actual.diverging_fields(expected),

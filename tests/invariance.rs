@@ -119,7 +119,7 @@ fn real_coverage_replay_is_kernel_invariant() {
     assert!(!kernels.is_empty());
 
     // Per-kernel pipeline state.
-    let mut virgins: Vec<Vec<u8>> = kernels.iter().map(|_| vec![0xFFu8; map_bytes]).collect();
+    let mut virgins: Vec<Vec<u8>> = kernels.iter().map(|_| vec![0u8; map_bytes]).collect();
     for raw in &raw_maps {
         let mut outcomes = Vec::new();
         for (k, &kind) in kernels.iter().enumerate() {
